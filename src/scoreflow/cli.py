@@ -20,7 +20,8 @@ from .config import ConfigError, RunConfig, load_config, problem_from_config
 from .flow import CheckpointError
 from .metrics import evaluate_testset, sweep_training_size, write_records_csv, write_summary_csv, write_sweep_csv
 from .numerics import Rng, ShapeError
-from .pipeline import PipelineError, infer, intermediate_trajectory, load_pipeline, save_pipeline, train_pipeline
+from .pipeline import PipelineError, infer, load_pipeline, save_pipeline, train_pipeline
+from .pipeline import intermediate_trajectory  # noqa: F401  (bound here; bench/tracer.py patches it)
 from .summary import DatasetError, build_stage0, save_dataset
 
 
@@ -137,7 +138,6 @@ def cmd_infer(args) -> int:
     n_samples = args.n_samples
     rng = Rng(cfg.seed)
     _progress(f"inferring with {pipeline.n_stages} fiducial updates, {n_samples} samples")
-    traj = intermediate_trajectory(pipeline, y, rng.child(0))
     ens = infer(pipeline, y, n_samples, rng.child(0))
     d = pipeline.problem.x_dim
     xcols = [f"x{i}" for i in range(d)]
@@ -148,7 +148,7 @@ def cmd_infer(args) -> int:
         fh.write(f"# config_hash={cfg.config_hash()}\n")
         w = csv.writer(fh)
         w.writerow(["stage", "score_norm"] + xcols)
-        for i, (x, ybar) in enumerate(traj):
+        for i, (x, ybar) in enumerate(ens.trajectory):
             w.writerow([i, repr(float(np.linalg.norm(ybar)))] + [repr(float(v)) for v in x])
     _progress(f"ensemble files written to {out}")
     return 0

@@ -1,11 +1,20 @@
 """Conditional affine-coupling normalizing flow with exact log-det-Jacobian.
 
 The flow maps a target vector x to a latent z conditioned on a summary
-vector, through a stack of coupling blocks. Each block leaves a masked half
-of the coordinates untouched and applies an elementwise scale-and-shift to
-the rest, with scale and shift predicted by a small MLP from the untouched
-half plus the conditioner. The Jacobian is triangular, so the log-det is
-the sum of the coupling log-scales.
+vector, through a stack of coupling blocks. The coordinates are split into
+two contiguous halves, lo = x[:, :x_dim // 2] and hi = x[:, x_dim // 2:].
+Even blocks keep lo and transform hi, odd blocks the reverse; for
+x_dim == 1 lo is empty and every block transforms the single coordinate,
+driven by the conditioner alone. The transformed half gets an elementwise
+scale-and-shift predicted by a small MLP from the kept half plus the
+conditioner. The Jacobian is triangular, so the log-det is the sum of the
+coupling log-scales.
+
+The MLP's first weight matrix has an x part and a condition part. The
+condition's term cn @ W_c + b is computed once per (block, condition) by
+`condition` and added to the x part's product on every pass: `sample`
+broadcasts one row of it over all its draws, and `advance_stage` reuses a
+stage's terms across all its latent slots.
 
 Training is maximum likelihood on (x, cond) pairs: the loss is the batch
 mean of 0.5*||z||^2 - log_det. Note this drops the (d/2)*log(2*pi) base
@@ -36,17 +45,19 @@ class CheckpointError(ValueError):
 class ConditioningNet:
     """MLP with tanh hidden layers predicting raw (log-scale, shift) heads.
 
-    The output layer is zero-initialized so a fresh flow starts as the
-    identity coupling (unit scale, zero shift).
+    Its input is the kept half of x (`x_in` columns) followed by the
+    normalized conditioner, so the first weight matrix holds the x rows
+    first and the condition rows after them. The output layer is
+    zero-initialized so a fresh flow starts as the identity coupling (unit
+    scale, zero shift).
     """
 
-    def __init__(self, in_dim: int, hidden: tuple[int, ...], out_dim: int, rng: Rng | None):
-        self.in_dim = in_dim
+    def __init__(self, x_in: int, cond_dim: int, hidden: tuple[int, ...], out_dim: int, rng: Rng | None):
+        self.x_in = x_in
         self.hidden = tuple(hidden)
-        self.out_dim = out_dim
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
-        widths = [in_dim, *hidden, out_dim]
+        widths = [x_in + cond_dim, *hidden, out_dim]
         for i in range(len(widths) - 1):
             fan_in, fan_out = widths[i], widths[i + 1]
             last = i == len(widths) - 2
@@ -64,57 +75,62 @@ class ConditioningNet:
             out.append(b)
         return out
 
-    def forward(self, h: np.ndarray):
-        """Returns the output and a cache of layer inputs for backward."""
-        cache = []
-        n_layers = len(self.weights)
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            cache.append(h)
-            h = h @ W + b
-            if i < n_layers - 1:
-                h = np.tanh(h)
-                cache.append(h)  # post-activation, reused as 1 - h^2 in backward
+    def condition(self, cn: np.ndarray) -> np.ndarray:
+        """The conditioner's share of the first pre-activation, bias included."""
+        return cn @ self.weights[0][self.x_in :] + self.biases[0]
+
+    def forward(self, a: np.ndarray, cterm: np.ndarray):
+        """Output for kept-half rows `a` plus a cache for backward.
+
+        `cterm` comes from `condition`: one row per row of `a`, or a single
+        row shared by all of them.
+        """
+        h = a @ self.weights[0][: self.x_in]
+        h += cterm
+        cache = [a]
+        for W, b in zip(self.weights[1:], self.biases[1:]):
+            np.tanh(h, out=h)  # in place, saving a (rows, width) temporary per layer
+            cache.append(h)  # post-activation, reused as 1 - h^2 in backward
+            h = h @ W
+            h += b
         return h, cache
 
-    def backward(self, dout: np.ndarray, cache):
-        """Backprop `dout` through the net; returns (dinput, grads).
+    def backward(self, dout: np.ndarray, cache, cn: np.ndarray):
+        """Backprop `dout` through the net; returns (d kept half, grads).
 
+        `cn` is the per-row conditioner the forward pass's term came from.
         `grads` is aligned with `parameters()`.
         """
-        n_layers = len(self.weights)
-        dW = [None] * n_layers
-        db = [None] * n_layers
+        grads = [None] * (2 * len(self.weights))
         dh = dout
-        for i in range(n_layers - 1, -1, -1):
-            if i < n_layers - 1:
-                act = cache[2 * i + 1]
-                dh = dh * (1.0 - act * act)
-            h_in = cache[2 * i]
-            dW[i] = h_in.T @ dh
-            db[i] = dh.sum(axis=0)
-            dh = dh @ self.weights[i].T
-        grads = []
-        for i in range(n_layers):
-            grads.append(dW[i])
-            grads.append(db[i])
-        return dh, grads
+        for i in range(len(self.weights) - 1, 0, -1):
+            act = cache[i]
+            grads[2 * i] = act.T @ dh
+            grads[2 * i + 1] = dh.sum(axis=0)
+            dh = (dh @ self.weights[i].T) * (1.0 - act * act)
+        grads[0] = np.concatenate([cache[0].T @ dh, cn.T @ dh])
+        grads[1] = dh.sum(axis=0)
+        return dh @ self.weights[0][: self.x_in].T, grads
+
+
+def transformed_halves(x_dim: int, n_blocks: int) -> list[int]:
+    """Per block, the half it transforms: 1 for hi, 0 for lo (see module doc)."""
+    return [1 if k % 2 == 0 or x_dim == 1 else 0 for k in range(n_blocks)]
+
+
+def half_widths(x_dim: int) -> tuple[int, int]:
+    """Widths of (lo, hi)."""
+    return x_dim // 2, x_dim - x_dim // 2
 
 
 def alternating_masks(x_dim: int, n_blocks: int) -> list[np.ndarray]:
-    """Half-masks that alternate so every coordinate gets transformed.
-
-    For x_dim == 1 the masked half is empty and the single coordinate is
-    transformed in every block, driven by the conditioner alone.
-    """
+    """Boolean masks of each block's kept half, the layout checkpoints store."""
+    lo = x_dim // 2
     masks = []
-    half = x_dim // 2
-    for k in range(n_blocks):
+    for changed in transformed_halves(x_dim, n_blocks):
         m = np.zeros(x_dim, dtype=bool)
-        if x_dim > 1:
-            if k % 2 == 0:
-                m[:half] = True
-            else:
-                m[half:] = True
+        m[lo:] = changed == 0
+        m[:lo] = changed == 1
         masks.append(m)
     return masks
 
@@ -128,12 +144,12 @@ class CouplingFlow:
     the log-det.
     """
 
-    def __init__(self, x_dim, cond_dim, masks, nets, s_max=2.0):
+    def __init__(self, x_dim, cond_dim, nets, s_max=2.0):
         self.x_dim = int(x_dim)
         self.cond_dim = int(cond_dim)
-        self.masks = [np.asarray(m, dtype=bool) for m in masks]
         self.nets = list(nets)
         self.s_max = float(s_max)
+        self.changed = transformed_halves(self.x_dim, len(self.nets))
         self.x_mean = np.zeros(self.x_dim)
         self.x_scale = np.ones(self.x_dim)
         self.cond_mean = np.zeros(self.cond_dim)
@@ -141,14 +157,12 @@ class CouplingFlow:
 
     @classmethod
     def create(cls, x_dim, cond_dim, rng: Rng, n_blocks=6, hidden=(128, 128), s_max=2.0):
-        masks = alternating_masks(x_dim, n_blocks)
+        widths = half_widths(x_dim)
         nets = []
-        for k, m in enumerate(masks):
-            n_masked = int(m.sum())
-            n_free = x_dim - n_masked
+        for k, changed in enumerate(transformed_halves(x_dim, n_blocks)):
             net_rng = rng.child(k) if rng is not None else None
-            nets.append(ConditioningNet(n_masked + cond_dim, hidden, 2 * n_free, net_rng))
-        return cls(x_dim, cond_dim, masks, nets, s_max=s_max)
+            nets.append(ConditioningNet(widths[1 - changed], cond_dim, hidden, 2 * widths[changed], net_rng))
+        return cls(x_dim, cond_dim, nets, s_max=s_max)
 
     def set_normalization(self, x_mean, x_scale, cond_mean, cond_scale):
         for name, v, d in (
@@ -182,73 +196,83 @@ class CouplingFlow:
             out.extend(net.parameters())
         return out
 
-    def _check_batch(self, x, cond):
-        x = np.asarray(x, dtype=np.float64)
+    def _check_batch(self, x, cond, shared_cond=False):
+        """Validated float arrays; `shared_cond` also admits a single cond row."""
+        x = self._check_x(x)
         cond = np.asarray(cond, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.x_dim:
-            raise ShapeError(f"x must be (batch, {self.x_dim}), got {x.shape}")
         if cond.ndim != 2 or cond.shape[1] != self.cond_dim:
             raise ShapeError(f"cond must be (batch, {self.cond_dim}), got {cond.shape}")
-        if x.shape[0] != cond.shape[0]:
+        if x.shape[0] != cond.shape[0] and not (shared_cond and cond.shape[0] == 1):
             raise ShapeError(f"batch sizes disagree: {x.shape[0]} vs {cond.shape[0]}")
         return x, cond
+
+    def _check_x(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.x_dim:
+            raise ShapeError(f"x must be (batch, {self.x_dim}), got {x.shape}")
+        return x
 
     def _squash(self, u):
         return self.s_max * np.tanh(u / self.s_max)
 
+    def _split(self, x):
+        """[lo, hi] views of the two coordinate halves."""
+        lo = self.x_dim // 2
+        return [x[:, :lo], x[:, lo:]]
+
+    def _coupling(self, net, kept, cterm):
+        """One block's (log-scale, shift, net cache) for its transformed half."""
+        raw, net_cache = net.forward(kept, cterm)
+        n_free = raw.shape[1] // 2
+        return self._squash(raw[:, :n_free]), raw[:, n_free:], net_cache
+
     def _forward_impl(self, x, cond, want_cache: bool):
         x, cond = self._check_batch(x, cond)
-        xn = (x - self.x_mean) / self.x_scale
         cn = (cond - self.cond_mean) / self.cond_scale
+        halves = self._split((x - self.x_mean) / self.x_scale)
         log_det = np.full(x.shape[0], -np.sum(np.log(self.x_scale)))
         caches = []
-        for m, net in zip(self.masks, self.nets):
-            a = xn[:, m]
-            b = xn[:, ~m]
-            raw, net_cache = net.forward(np.concatenate([a, cn], axis=1))
-            n_free = b.shape[1]
-            s = self._squash(raw[:, :n_free])
-            t = raw[:, n_free:]
+        for i, net in zip(self.changed, self.nets):
+            b = halves[i]
+            s, t, net_cache = self._coupling(net, halves[1 - i], net.condition(cn))
             es = np.exp(s)
-            b2 = b * es + t
-            out = np.empty_like(xn)
-            out[:, m] = a
-            out[:, ~m] = b2
+            halves[i] = b * es + t
             log_det = log_det + s.sum(axis=1)
             if want_cache:
                 caches.append((b, s, es, net_cache))
-            xn = out
-        if not np.all(np.isfinite(xn)):
+        z = np.concatenate(halves, axis=1)
+        if not np.all(np.isfinite(z)):
             raise FloatingPointError("non-finite activations in flow forward")
         if want_cache:
-            return xn, log_det, caches
-        return xn, log_det
+            return z, log_det, cn, caches
+        return z, log_det
 
     def forward(self, x, cond):
         """Map x to latent z; returns (z, log_det) with log_det per sample."""
         return self._forward_impl(x, cond, want_cache=False)
 
+    def condition(self, cond) -> list[np.ndarray]:
+        """Per-block condition terms of the rows of `cond`, for `inverse_conditioned`."""
+        cn = (np.asarray(cond, dtype=np.float64) - self.cond_mean) / self.cond_scale
+        return [net.condition(cn) for net in self.nets]
+
     def inverse(self, z, cond):
         """Map latent z back to x; returns (x, log_det) with the forward's
-        log_det negated at the corresponding point."""
-        z, cond = self._check_batch(z, cond)
-        cn = (cond - self.cond_mean) / self.cond_scale
-        xn = z.copy()
-        log_det = np.full(z.shape[0], np.sum(np.log(self.x_scale)))
-        for m, net in zip(reversed(self.masks), reversed(self.nets)):
-            a = xn[:, m]
-            b2 = xn[:, ~m]
-            raw, _ = net.forward(np.concatenate([a, cn], axis=1))
-            n_free = b2.shape[1]
-            s = self._squash(raw[:, :n_free])
-            t = raw[:, n_free:]
-            b = (b2 - t) * np.exp(-s)
-            out = np.empty_like(xn)
-            out[:, m] = a
-            out[:, ~m] = b
+        log_det negated at the corresponding point. `cond` has one row per
+        row of z, or a single row shared by all of them."""
+        z, cond = self._check_batch(z, cond, shared_cond=True)
+        return self.inverse_conditioned(z, self.condition(cond))
+
+    def inverse_conditioned(self, z, terms):
+        """`inverse` given the terms `condition` computed, so that several
+        passes on the same conditions compute them once."""
+        halves = self._split(self._check_x(z))
+        log_det = np.full(halves[0].shape[0], np.sum(np.log(self.x_scale)))
+        for i, net, cterm in zip(reversed(self.changed), reversed(self.nets), reversed(terms)):
+            s, t, _ = self._coupling(net, halves[1 - i], cterm)
+            halves[i] = (halves[i] - t) * np.exp(-s)
             log_det = log_det - s.sum(axis=1)
-            xn = out
-        x = xn * self.x_scale + self.x_mean
+        x = np.concatenate(halves, axis=1) * self.x_scale + self.x_mean
         if not np.all(np.isfinite(x)):
             raise FloatingPointError("non-finite activations in flow inverse")
         return x, log_det
@@ -268,34 +292,22 @@ class CouplingFlow:
 
     def nll_loss_and_grads(self, x, cond):
         """Loss plus gradients w.r.t. every net parameter (hand-written backprop)."""
-        z, log_det, caches = self._forward_impl(x, cond, want_cache=True)
+        z, log_det, cn, caches = self._forward_impl(x, cond, want_cache=True)
         batch = z.shape[0]
         loss = float(np.mean(0.5 * np.sum(z * z, axis=1) - log_det))
-        dxn = z / batch
+        dhalves = self._split(z / batch)
         # d(loss)/d(log_det contribution) is -1/batch for every sample and block
         dld = np.full((batch, 1), -1.0 / batch)
-        grads = [None] * len(self.parameters())
-        pos = len(grads)
+        block_grads = [None] * len(self.nets)
         for k in range(len(self.nets) - 1, -1, -1):
-            m = self.masks[k]
-            net = self.nets[k]
+            i = self.changed[k]
             b, s, es, net_cache = caches[k]
-            da_out = dxn[:, m]
-            db2 = dxn[:, ~m]
-            ds = db2 * b * es + dld
-            dt = db2
-            db = db2 * es
-            du = ds * (1.0 - (s / self.s_max) ** 2)
-            dnet_in, net_grads = net.backward(np.concatenate([du, dt], axis=1), net_cache)
-            n_masked = int(m.sum())
-            da = da_out + dnet_in[:, :n_masked]
-            prev = np.empty_like(dxn)
-            prev[:, m] = da
-            prev[:, ~m] = db
-            dxn = prev
-            pos -= len(net_grads)
-            grads[pos : pos + len(net_grads)] = net_grads
-        return loss, grads
+            db2 = dhalves[i]
+            du = (db2 * b * es + dld) * (1.0 - (s / self.s_max) ** 2)
+            dkept, block_grads[k] = self.nets[k].backward(np.concatenate([du, db2], axis=1), net_cache, cn)
+            dhalves[1 - i] = dhalves[1 - i] + dkept
+            dhalves[i] = db2 * es
+        return loss, [g for grads in block_grads for g in grads]
 
     def sample(self, cond_vec, n: int, rng: Rng) -> np.ndarray:
         """n conditional draws via the inverse flow on standard-normal latents."""
@@ -305,7 +317,7 @@ class CouplingFlow:
         if n < 1:
             raise ValueError("n must be >= 1")
         z = rng.standard_normal((n, self.x_dim))
-        x, _ = self.inverse(z, np.tile(cond_vec, (n, 1)))
+        x, _ = self.inverse(z, cond_vec[None, :])
         return x
 
     def posterior_mean_estimate(self, cond_vec, n_s: int, rng: Rng) -> np.ndarray:
@@ -437,13 +449,13 @@ def save_checkpoint(flow: CouplingFlow) -> bytes:
             CHECKPOINT_VERSION,
             flow.x_dim,
             flow.cond_dim,
-            len(flow.masks),
+            len(flow.nets),
             len(hidden),
         ),
         struct.pack("<d", flow.s_max),
         struct.pack(f"<{len(hidden)}I", *hidden),
     ]
-    for m in flow.masks:
+    for m in alternating_masks(flow.x_dim, len(flow.nets)):
         parts.append(m.astype(np.uint8).tobytes())
     for v in (flow.x_mean, flow.x_scale, flow.cond_mean, flow.cond_scale):
         parts.append(np.ascontiguousarray(v, dtype="<f8").tobytes())
@@ -478,35 +490,49 @@ def load_checkpoint(data: bytes, expected_x_dim=None, expected_cond_dim=None) ->
         raise CheckpointError(f"checkpoint cond_dim {cond_dim} does not match expected {expected_cond_dim}")
     (s_max,) = take("<d")
     hidden = take(f"<{n_hidden}I") if n_hidden else ()
+    if x_dim < 1:
+        raise CheckpointError("checkpoint x_dim must be at least 1")
+    expected = _checkpoint_length(x_dim, cond_dim, n_blocks, hidden)
+    if expected > len(data):
+        raise CheckpointError(f"checkpoint truncated: header implies {expected} bytes, got {len(data)}")
+    if expected < len(data):
+        raise CheckpointError("trailing bytes after checkpoint payload")
 
     def take_array(count, dtype):
         nonlocal off
-        size = count * np.dtype(dtype).itemsize
-        if off + size > len(data):
-            raise CheckpointError("checkpoint truncated in payload")
         arr = np.frombuffer(data, dtype=dtype, count=count, offset=off).copy()
-        off += size
+        off += count * np.dtype(dtype).itemsize
         return arr
 
-    masks = [take_array(x_dim, np.uint8).astype(bool) for _ in range(n_blocks)]
+    for k, m in enumerate(alternating_masks(x_dim, n_blocks)):
+        if not np.array_equal(take_array(x_dim, np.uint8), m):
+            raise CheckpointError(f"checkpoint mask of block {k} is not the alternating half layout")
     x_mean = take_array(x_dim, "<f8")
     x_scale = take_array(x_dim, "<f8")
     cond_mean = take_array(cond_dim, "<f8")
     cond_scale = take_array(cond_dim, "<f8")
 
+    widths = half_widths(x_dim)
     nets = []
-    for m in masks:
-        n_masked = int(m.sum())
-        n_free = x_dim - n_masked
-        net = ConditioningNet(n_masked + cond_dim, hidden, 2 * n_free, rng=None)
-        widths = [net.in_dim, *hidden, net.out_dim]
-        for i in range(len(widths) - 1):
-            net.weights[i] = take_array(widths[i] * widths[i + 1], "<f8").reshape(widths[i], widths[i + 1])
-            net.biases[i] = take_array(widths[i + 1], "<f8")
+    for changed in transformed_halves(x_dim, n_blocks):
+        net = ConditioningNet(widths[1 - changed], cond_dim, hidden, 2 * widths[changed], rng=None)
+        for i, W in enumerate(net.weights):
+            net.weights[i] = take_array(W.size, "<f8").reshape(W.shape)
+            net.biases[i] = take_array(W.shape[1], "<f8")
         nets.append(net)
-    if off != len(data):
-        raise CheckpointError("trailing bytes after checkpoint payload")
 
-    out = CouplingFlow(x_dim, cond_dim, masks, nets, s_max=s_max)
+    out = CouplingFlow(x_dim, cond_dim, nets, s_max=s_max)
     out.set_normalization(x_mean, x_scale, cond_mean, cond_scale)
     return out
+
+
+def _checkpoint_length(x_dim: int, cond_dim: int, n_blocks: int, hidden) -> int:
+    """Byte length `save_checkpoint` writes for this header, in closed form."""
+    widths = half_widths(x_dim)
+    n_hi = n_blocks if x_dim == 1 else (n_blocks + 1) // 2
+    floats = 2 * x_dim + 2 * cond_dim
+    for changed, count in ((1, n_hi), (0, n_blocks - n_hi)):
+        w = [widths[1 - changed] + cond_dim, *hidden, 2 * widths[changed]]
+        floats += count * sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(w, w[1:]))
+    header = len(CHECKPOINT_MAGIC) + 5 * 4 + 8 + 4 * len(hidden)
+    return header + n_blocks * x_dim + 8 * floats

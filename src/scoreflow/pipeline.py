@@ -86,6 +86,8 @@ class PosteriorEnsemble:
     mean: np.ndarray
     cov: np.ndarray  # unbiased (n-1) estimator
     std: np.ndarray
+    # (x_i, ybar_i) for i = 0..L, as `intermediate_trajectory` returns them
+    trajectory: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
     @classmethod
     def from_samples(cls, samples: np.ndarray, fiducial: np.ndarray) -> "PosteriorEnsemble":
@@ -198,13 +200,18 @@ def intermediate_trajectory(pipeline: TrainedPipeline, y, rng: Rng, n_s: int | N
 
 
 def infer(pipeline: TrainedPipeline, y, n_samples: int, rng: Rng, n_s: int | None = None) -> PosteriorEnsemble:
-    """Full inference: L fiducial updates, then n_samples from the final flow."""
+    """Full inference: L fiducial updates, then n_samples from the final flow.
+
+    The returned ensemble carries the trajectory of those updates.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     traj = intermediate_trajectory(pipeline, y, rng, n_s=n_s)
     x_final, ybar_final = traj[-1]
     deltas = pipeline.flows[-1].sample(ybar_final, n_samples, rng.child(_KEY_INFER_SAMPLE))
-    return PosteriorEnsemble.from_samples(x_final + deltas, x_final)
+    ens = PosteriorEnsemble.from_samples(x_final + deltas, x_final)
+    ens.trajectory = traj
+    return ens
 
 
 def save_pipeline(pipeline: TrainedPipeline, out_dir) -> None:

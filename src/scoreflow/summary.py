@@ -95,13 +95,15 @@ def advance_stage(
         raise ValueError("n_s must be >= 1")
     n, x_dim = ds.x_true.shape
     next_stage = ds.stage + 1
-    # per-record latent draws, batched through the inverse flow one slot at a time
+    # per-record latent draws; each of the n_s slots sends one draw per record
+    # through the inverse flow, all reusing the condition terms of ds.ybar
     z = np.empty((n, n_s, x_dim))
     for i in range(n):
         z[i] = rng.child(_KEY_ADVANCE, next_stage, i).standard_normal((n_s, x_dim))
+    terms = flow.condition(ds.ybar)
     update = np.zeros((n, x_dim))
     for k in range(n_s):
-        xk, _ = flow.inverse(z[:, k, :], ds.ybar)
+        xk, _ = flow.inverse_conditioned(z[:, k, :], terms)
         update += xk
     update /= n_s
     bad = np.flatnonzero(~np.all(np.isfinite(update), axis=1))

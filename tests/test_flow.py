@@ -115,14 +115,167 @@ class TestInverse:
         flow = small_flow(x_dim=2, cond_dim=1, n_blocks=1, hidden=(6,), seed=13)
         z = np.array([[0.9, -1.4]])
         c = np.array([[0.25]])
-        a = z[:, flow.masks[0]]
-        raw, _ = flow.nets[0].forward(np.concatenate([a, c], axis=1))
+        W0, b0, W1, b1 = flow.nets[0].parameters()
+        raw = np.tanh(np.concatenate([z[:, :1], c], axis=1) @ W0 + b0) @ W1 + b1
         s = flow._squash(raw[:, :1])
         t = raw[:, 1:]
         x, _ = flow.inverse(z, c)
         expected = (z[0, 1] - t[0, 0]) * np.exp(-s[0, 0])
         assert abs(x[0, 1] - expected) < 1e-12
         assert x[0, 0] == z[0, 0]
+
+
+def masks_reference(x_dim, n_blocks):
+    """Kept-half masks: first half in even blocks, second half in odd ones,
+    none for x_dim == 1."""
+    masks = []
+    for k in range(n_blocks):
+        m = np.zeros(x_dim, dtype=bool)
+        if x_dim > 1:
+            m[: x_dim // 2] = k % 2 == 0
+            m[x_dim // 2 :] = k % 2 == 1
+        masks.append(m)
+    return masks
+
+
+def mlp_reference(net, h):
+    """The coupling net on its concatenated [kept half, conditioner] input."""
+    cache = []
+    for i, (W, b) in enumerate(zip(net.weights, net.biases)):
+        cache.append(h)
+        h = h @ W + b
+        if i < len(net.weights) - 1:
+            h = np.tanh(h)
+    return h, cache
+
+
+def mlp_backward_reference(net, dh, cache):
+    grads = []
+    for i in range(len(net.weights) - 1, -1, -1):
+        if i < len(net.weights) - 1:
+            act = cache[i + 1]
+            dh = dh * (1.0 - act * act)
+        grads[:0] = [cache[i].T @ dh, dh.sum(axis=0)]
+        dh = dh @ net.weights[i].T
+    return dh, grads
+
+
+def squash(flow, u):
+    return flow.s_max * np.tanh(u / flow.s_max)
+
+
+def forward_reference(flow, x, cond):
+    """Boolean-mask coupling forward with a concatenated first layer; returns
+    (z, log_det, caches) for `grads_reference`."""
+    masks = masks_reference(flow.x_dim, len(flow.nets))
+    xn = (x - flow.x_mean) / flow.x_scale
+    cn = (cond - flow.cond_mean) / flow.cond_scale
+    log_det = np.full(len(x), -np.sum(np.log(flow.x_scale)))
+    caches = []
+    for m, net in zip(masks, flow.nets):
+        b = xn[:, ~m]
+        raw, net_cache = mlp_reference(net, np.concatenate([xn[:, m], cn], axis=1))
+        n_free = b.shape[1]
+        s = squash(flow, raw[:, :n_free])
+        out = xn.copy()
+        out[:, ~m] = b * np.exp(s) + raw[:, n_free:]
+        log_det = log_det + s.sum(axis=1)
+        caches.append((m, b, s, net_cache))
+        xn = out
+    return xn, log_det, caches
+
+
+def inverse_reference(flow, z, cond):
+    masks = masks_reference(flow.x_dim, len(flow.nets))
+    cn = (cond - flow.cond_mean) / flow.cond_scale
+    xn = z.copy()
+    log_det = np.full(len(z), np.sum(np.log(flow.x_scale)))
+    for m, net in zip(reversed(masks), reversed(flow.nets)):
+        raw, _ = mlp_reference(net, np.concatenate([xn[:, m], cn], axis=1))
+        n_free = int((~m).sum())
+        s = squash(flow, raw[:, :n_free])
+        out = xn.copy()
+        out[:, ~m] = (xn[:, ~m] - raw[:, n_free:]) * np.exp(-s)
+        log_det = log_det - s.sum(axis=1)
+        xn = out
+    return xn * flow.x_scale + flow.x_mean, log_det
+
+
+def grads_reference(flow, x, cond):
+    z, log_det, caches = forward_reference(flow, x, cond)
+    batch = len(x)
+    loss = float(np.mean(0.5 * np.sum(z * z, axis=1) - log_det))
+    dxn = z / batch
+    grads = []
+    for net, (m, b, s, net_cache) in zip(reversed(flow.nets), reversed(caches)):
+        db2 = dxn[:, ~m]
+        es = np.exp(s)
+        du = (db2 * b * es - 1.0 / batch) * (1.0 - (s / flow.s_max) ** 2)
+        dnet_in, net_grads = mlp_backward_reference(net, np.concatenate([du, db2], axis=1), net_cache)
+        prev = dxn.copy()
+        prev[:, m] += dnet_in[:, : int(m.sum())]
+        prev[:, ~m] = db2 * es
+        dxn = prev
+        grads[:0] = net_grads
+    return loss, grads
+
+
+def rel_err(got, ref):
+    return np.linalg.norm(np.asarray(got) - ref) / max(np.linalg.norm(ref), 1e-300)
+
+
+class TestMatchesMaskReference:
+    """The sliced, hoisted-condition flow against a boolean-mask reference
+    with a concatenated first layer."""
+
+    def _flow(self, x_dim, seed):
+        flow = small_flow(x_dim=x_dim, cond_dim=3, n_blocks=4, hidden=(8, 8), seed=seed, randomize=0.4)
+        rng = Rng(seed + 100)
+        flow.set_normalization(rng.standard_normal(x_dim), np.exp(0.3 * rng.standard_normal(x_dim)),
+                               rng.standard_normal(3), np.exp(0.3 * rng.standard_normal(3)))
+        return flow, rng
+
+    @pytest.mark.parametrize("x_dim", [1, 3, 16])
+    def test_forward_inverse_and_grads(self, x_dim):
+        flow, rng = self._flow(x_dim, seed=40 + x_dim)
+        x = rng.standard_normal((12, x_dim))
+        c = rng.standard_normal((12, 3))
+        z, ld = flow.forward(x, c)
+        z_ref, ld_ref, _ = forward_reference(flow, x, c)
+        assert rel_err(z, z_ref) <= 1e-12 and rel_err(ld, ld_ref) <= 1e-12
+        xr, ld_i = flow.inverse(z, c)
+        xr_ref, ld_i_ref = inverse_reference(flow, z, c)
+        assert rel_err(xr, xr_ref) <= 1e-12 and rel_err(ld_i, ld_i_ref) <= 1e-12
+        loss, grads = flow.nll_loss_and_grads(x, c)
+        loss_ref, grads_ref = grads_reference(flow, x, c)
+        assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
+        assert len(grads) == len(grads_ref) == len(flow.parameters())
+        for g, g_ref, p in zip(grads, grads_ref, flow.parameters()):
+            assert g.shape == p.shape
+            assert rel_err(g, g_ref) <= 1e-12
+
+    @pytest.mark.parametrize("x_dim", [1, 3, 16])
+    def test_sample_with_shared_condition(self, x_dim):
+        flow, rng = self._flow(x_dim, seed=60 + x_dim)
+        cond = rng.standard_normal(3)
+        got = flow.sample(cond, 40, Rng(5))
+        ref, _ = inverse_reference(flow, Rng(5).standard_normal((40, x_dim)), np.tile(cond, (40, 1)))
+        assert rel_err(got, ref) <= 1e-12
+
+    def test_inverse_conditioned_reuses_terms(self):
+        flow, rng = self._flow(5, seed=80)
+        c = rng.standard_normal((7, 3))
+        terms = flow.condition(c)
+        for _ in range(3):
+            z = rng.standard_normal((7, 5))
+            x, ld = flow.inverse_conditioned(z, terms)
+            x_ref, ld_ref = inverse_reference(flow, z, c)
+            assert rel_err(x, x_ref) <= 1e-12 and rel_err(ld, ld_ref) <= 1e-12
+
+    def test_inverse_rejects_other_batch_sizes(self):
+        flow, _ = self._flow(3, seed=81)
+        with pytest.raises(ShapeError):
+            flow.inverse(np.zeros((4, 3)), np.zeros((2, 3)))
 
 
 class TestNllLoss:
@@ -309,6 +462,34 @@ class TestCheckpoint:
         blob = save_checkpoint(small_flow(x_dim=16, cond_dim=16))
         with pytest.raises(CheckpointError, match="16.*32"):
             load_checkpoint(blob, expected_x_dim=32)
+
+    def test_non_alternating_mask_rejected(self):
+        flow = small_flow(x_dim=4, cond_dim=2, n_blocks=2, hidden=(8,))
+        blob = bytearray(save_checkpoint(flow))
+        masks_at = 8 + 5 * 4 + 8 + 4 * 1  # magic, u32 header, s_max, one hidden width
+        assert blob[masks_at + 4 : masks_at + 8] == bytes([0, 0, 1, 1])  # block 1 keeps the hi half
+        blob[masks_at + 4 : masks_at + 8] = bytes([0, 1, 0, 1])
+        with pytest.raises(CheckpointError, match="mask of block 1"):
+            load_checkpoint(bytes(blob))
+
+    def test_length_checked_before_nets_are_built(self, monkeypatch):
+        # a short payload whose header claims two 4000-wide hidden layers
+        # (about 130 MB of weights per block) is refused from its length
+        blob = bytearray(save_checkpoint(small_flow(x_dim=4, cond_dim=2, n_blocks=2, hidden=(8, 8))))
+        hidden_at = 8 + 5 * 4 + 8  # magic, u32 header, s_max
+        assert blob[hidden_at : hidden_at + 8] == np.array([8, 8], dtype="<u4").tobytes()
+        blob[hidden_at : hidden_at + 8] = np.array([4000, 4000], dtype="<u4").tobytes()
+
+        def no_nets(*args, **kwargs):
+            raise AssertionError("ConditioningNet built before the payload length was checked")
+
+        monkeypatch.setattr("scoreflow.flow.ConditioningNet", no_nets)
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(bytes(blob))
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(save_checkpoint(small_flow()) + b"\x00")
 
     def test_version_mismatch_rejected(self):
         blob = bytearray(save_checkpoint(small_flow()))

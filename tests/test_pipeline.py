@@ -113,6 +113,15 @@ class TestInference:
         ens = infer(pipe, y, 50, Rng(14))
         assert np.array_equal(ens.fiducial, traj[-1][0])
 
+    def test_infer_returns_its_trajectory(self):
+        p, pipe = self._pipe(L=2)
+        y = Rng(13).standard_normal(p.y_dim)
+        traj = intermediate_trajectory(pipe, y, Rng(14))
+        ens = infer(pipe, y, 50, Rng(14))
+        assert len(ens.trajectory) == len(traj) == 3
+        for (x, ybar), (x_ref, ybar_ref) in zip(ens.trajectory, traj):
+            assert np.array_equal(x, x_ref) and np.array_equal(ybar, ybar_ref)
+
     def test_infer_determinism(self):
         p, pipe = self._pipe()
         y = Rng(15).standard_normal(p.y_dim)
