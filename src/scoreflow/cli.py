@@ -20,7 +20,7 @@ from .config import ConfigError, RunConfig, load_config, problem_from_config
 from .flow import CheckpointError
 from .metrics import evaluate_testset, sweep_training_size, write_records_csv, write_summary_csv, write_sweep_csv
 from .numerics import Rng, ShapeError
-from .pipeline import PipelineError, infer, load_pipeline, save_pipeline, train_pipeline
+from .pipeline import PipelineError, TrainedPipeline, infer, load_pipeline, save_pipeline, train_pipeline
 from .pipeline import intermediate_trajectory  # noqa: F401  (bound here; bench/tracer.py patches it)
 from .summary import DatasetError, build_stage0, save_dataset
 
@@ -35,8 +35,6 @@ def _effective_config(args) -> RunConfig:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.paths["out_dir"] = args.out
-    if args.threads is not None:
-        cfg.threads = args.threads
     return cfg
 
 
@@ -96,8 +94,6 @@ def cmd_train(args) -> int:
     except PipelineError as exc:
         # persist whatever finished before the divergence
         if exc.completed_flows:
-            from .pipeline import TrainedPipeline
-
             partial = TrainedPipeline(
                 problem=problem,
                 flows=exc.completed_flows,
@@ -124,9 +120,14 @@ def cmd_train(args) -> int:
 
 
 def _load_y(path: str, y_dim: int) -> np.ndarray:
-    vals = np.loadtxt(path, delimiter=None).ravel()
+    try:
+        vals = np.loadtxt(path, delimiter=None).ravel()
+    except ValueError as exc:
+        raise ConfigError(f"cannot read observation {path}: {exc}") from exc
     if vals.shape != (y_dim,):
         raise ShapeError(f"observation in {path} has {vals.size} entries, expected {y_dim}")
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"observation in {path} has non-finite entries")
     return vals.astype(np.float64)
 
 
@@ -212,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to YAML run config")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker threads (advisory)")
 
     p = sub.add_parser("generate", help="write the stage-0 training dataset")
     add_common(p)

@@ -1,21 +1,26 @@
 """Run configuration: YAML schema, validation, canonical hashing.
 
 The config file is a nested key-value document with blocks `problem`,
-`flow`, `training`, `eval`, `sweep`, `paths`, plus top-level `seed` and
-`threads`. Unknown keys anywhere are errors so hyperparameter typos fail
-fast. Every output artifact embeds the sha256 hash of the canonicalized
-config so results can be traced back to their exact settings.
+`flow`, `training`, `eval`, `sweep`, `paths`, plus a top-level `seed`.
+Unknown keys anywhere are errors so hyperparameter typos fail fast. The
+`flow` and `training` defaults are the fields of `FlowConfig` and
+`TrainConfig`, and each problem kind's defaults are its builder's keyword
+defaults, so every setting is defined once. Every output artifact embeds
+the sha256 hash of the canonicalized config without its `paths` block, so
+results can be traced back to their exact settings wherever they were
+written.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import yaml
 
-from .pipeline import FlowConfig, TrainConfig
+from .flow import FlowConfig, TrainConfig
 from .problems import InverseProblem, LinearGaussianProblem, NonlinearToyProblem
 
 
@@ -23,43 +28,20 @@ class ConfigError(ValueError):
     """Raised for unknown keys, missing fields, or out-of-range values."""
 
 
+_PROBLEM_BUILDERS = {
+    "linear_gaussian": LinearGaussianProblem.replication,
+    "nonlinear_toy": NonlinearToyProblem,
+}
+
 _PROBLEM_DEFAULTS = {
-    "linear_gaussian": {
-        "x_dim": 16,
-        "y_dim": 64,
-        "noise_std": 0.1,
-        "prior_condition": 10.0,
-        "seed": 2024,
-    },
-    "nonlinear_toy": {
-        "grid": 16,
-        "observed_rows": 6,
-        "noise_std": 0.05,
-        "nonlin_scale": 3.0,
-        "blur_sigma": 1.0,
-        "interior_base": 0.5,
-        "fiducial_interior": 3.0,
-        "blob_scale": 0.8,
-        "blob_smoothness": 2.0,
-        "rim_center": 1.5,
-        "rim_halfwidth": 0.1,
-    },
+    kind: {name: p.default for name, p in inspect.signature(build).parameters.items()}
+    for kind, build in _PROBLEM_BUILDERS.items()
 }
 
-_FLOW_DEFAULTS = {"n_blocks": 6, "hidden": [128, 128], "s_max": 2.0}
+_FLOW_DEFAULTS = asdict(FlowConfig())
 
-_TRAINING_DEFAULTS = {
-    "lr": 1e-3,
-    "weight_decay": 0.0,
-    "batch_size": 64,
-    "max_epochs": 400,
-    "patience": 50,
-    "n_train": 1000,
-    "stages": 3,
-    "n_s_train": 64,
-    "n_s_infer": 256,
-    "val_fraction": 0.1,
-}
+# n_train and stages are arguments of `train_pipeline`, not `TrainConfig` fields
+_TRAINING_DEFAULTS = {**asdict(TrainConfig()), "n_train": 1000, "stages": 3}
 
 _EVAL_DEFAULTS = {"n_test": 50, "n_samples": 2000, "psnr_range": 2.0}
 
@@ -82,48 +64,22 @@ def _merge_block(name: str, defaults: dict, given: dict) -> dict:
 @dataclass
 class RunConfig:
     problem: dict
-    flow: dict = field(default_factory=lambda: dict(_FLOW_DEFAULTS))
-    training: dict = field(default_factory=lambda: dict(_TRAINING_DEFAULTS))
-    eval: dict = field(default_factory=lambda: dict(_EVAL_DEFAULTS))
-    sweep: dict = field(default_factory=lambda: dict(_SWEEP_DEFAULTS))
-    paths: dict = field(default_factory=lambda: dict(_PATHS_DEFAULTS))
+    flow: dict
+    training: dict
+    eval: dict
+    sweep: dict
+    paths: dict
     seed: int = 0
-    threads: int = 0  # 0 = all available; generation is vectorized, so advisory
-
-    def as_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "flow": self.flow,
-            "training": self.training,
-            "eval": self.eval,
-            "sweep": self.sweep,
-            "paths": self.paths,
-            "seed": self.seed,
-            "threads": self.threads,
-        }
 
     def config_hash(self) -> str:
-        return canonical_hash(self.as_dict())
+        """Hash of every setting that affects results; `paths` is left out."""
+        return canonical_hash({k: v for k, v in asdict(self).items() if k != "paths"})
 
     def flow_config(self) -> FlowConfig:
-        return FlowConfig(
-            n_blocks=self.flow["n_blocks"],
-            hidden=tuple(self.flow["hidden"]),
-            s_max=self.flow["s_max"],
-        )
+        return FlowConfig(**{**self.flow, "hidden": tuple(self.flow["hidden"])})
 
     def train_config(self) -> TrainConfig:
-        t = self.training
-        return TrainConfig(
-            lr=t["lr"],
-            weight_decay=t["weight_decay"],
-            batch_size=t["batch_size"],
-            max_epochs=t["max_epochs"],
-            patience=t["patience"],
-            n_s_train=t["n_s_train"],
-            n_s_infer=t["n_s_infer"],
-            val_fraction=t["val_fraction"],
-        )
+        return TrainConfig(**{f.name: self.training[f.name] for f in fields(TrainConfig)})
 
 
 def canonical_hash(d: dict) -> str:
@@ -134,8 +90,7 @@ def canonical_hash(d: dict) -> str:
 def validate_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    known_top = {"problem", "flow", "training", "eval", "sweep", "paths", "seed", "threads"}
-    unknown = set(raw) - known_top
+    unknown = set(raw) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     if "problem" not in raw:
@@ -146,18 +101,17 @@ def validate_config(raw: dict) -> RunConfig:
     kind = prob_raw["kind"]
     if kind not in _PROBLEM_DEFAULTS:
         raise ConfigError(f"unknown problem kind '{kind}', expected one of {sorted(_PROBLEM_DEFAULTS)}")
-    prob = _merge_block(
-        "problem", {**_PROBLEM_DEFAULTS[kind], "kind": kind}, prob_raw
-    )
+    blocks = {
+        "problem": {**_PROBLEM_DEFAULTS[kind], "kind": kind},
+        "flow": _FLOW_DEFAULTS,
+        "training": _TRAINING_DEFAULTS,
+        "eval": _EVAL_DEFAULTS,
+        "sweep": _SWEEP_DEFAULTS,
+        "paths": _PATHS_DEFAULTS,
+    }
     cfg = RunConfig(
-        problem=prob,
-        flow=_merge_block("flow", _FLOW_DEFAULTS, raw.get("flow", {})),
-        training=_merge_block("training", _TRAINING_DEFAULTS, raw.get("training", {})),
-        eval=_merge_block("eval", _EVAL_DEFAULTS, raw.get("eval", {})),
-        sweep=_merge_block("sweep", _SWEEP_DEFAULTS, raw.get("sweep", {})),
-        paths=_merge_block("paths", _PATHS_DEFAULTS, raw.get("paths", {})),
+        **{name: _merge_block(name, defaults, raw.get(name, {})) for name, defaults in blocks.items()},
         seed=int(raw.get("seed", 0)),
-        threads=int(raw.get("threads", 0)),
     )
     _validate_values(cfg)
     return cfg
@@ -193,28 +147,13 @@ def load_config(path) -> RunConfig:
 
 
 def problem_from_config(prob: dict) -> InverseProblem:
-    """Build a problem instance from a validated problem block."""
+    """Build a problem instance from a validated problem block.
+
+    Each value is cast to the type of its builder default, so YAML ints
+    given for float parameters build the same problem as floats do.
+    """
     kind = prob.get("kind")
-    if kind == "linear_gaussian":
-        return LinearGaussianProblem.replication(
-            x_dim=int(prob["x_dim"]),
-            y_dim=int(prob["y_dim"]),
-            noise_std=float(prob["noise_std"]),
-            prior_condition=float(prob["prior_condition"]),
-            seed=int(prob["seed"]),
-        )
-    if kind == "nonlinear_toy":
-        return NonlinearToyProblem(
-            grid=int(prob["grid"]),
-            observed_rows=int(prob["observed_rows"]),
-            noise_std=float(prob["noise_std"]),
-            nonlin_scale=float(prob["nonlin_scale"]),
-            blur_sigma=float(prob["blur_sigma"]),
-            interior_base=float(prob["interior_base"]),
-            fiducial_interior=float(prob["fiducial_interior"]),
-            blob_scale=float(prob["blob_scale"]),
-            blob_smoothness=float(prob["blob_smoothness"]),
-            rim_center=float(prob["rim_center"]),
-            rim_halfwidth=float(prob["rim_halfwidth"]),
-        )
-    raise ConfigError(f"unknown problem kind '{kind}'")
+    if kind not in _PROBLEM_BUILDERS:
+        raise ConfigError(f"unknown problem kind '{kind}'")
+    params = {name: type(default)(prob[name]) for name, default in _PROBLEM_DEFAULTS[kind].items()}
+    return _PROBLEM_BUILDERS[kind](**params)

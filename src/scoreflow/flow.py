@@ -29,17 +29,47 @@ bitwise reproducible.
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import LOG_2PI, Rng, ShapeError
+from .numerics import LOG_2PI, ByteReader, Rng, ShapeError
 
 CHECKPOINT_MAGIC = b"SFLOWCKP"
 CHECKPOINT_VERSION = 1
 
+# reduce-on-plateau schedule of `train_flow`
+LR_PATIENCE = 10
+LR_FACTOR = 0.5
+MIN_LR = 1e-5
+
 
 class CheckpointError(ValueError):
-    """Raised for malformed, truncated, or mismatched checkpoint payloads."""
+    """Raised for malformed, truncated, or mismatched checkpoints and bundle manifests."""
+
+
+@dataclass
+class FlowConfig:
+    """Flow architecture; `CouplingFlow` and the config's `flow` block take their defaults from here."""
+
+    n_blocks: int = 6
+    hidden: tuple[int, ...] = (128, 128)
+    s_max: float = 2.0
+
+
+@dataclass
+class TrainConfig:
+    """Training schedule; `train_flow`, `Adam`, `build_stage0` and the
+    config's `training` block take their defaults from here."""
+
+    lr: float = 1e-3
+    weight_decay: float = 0.0
+    batch_size: int = 64
+    max_epochs: int = 400
+    patience: int = 50
+    n_s_train: int = 64
+    n_s_infer: int = 256
+    val_fraction: float = 0.1
 
 
 class ConditioningNet:
@@ -144,7 +174,7 @@ class CouplingFlow:
     the log-det.
     """
 
-    def __init__(self, x_dim, cond_dim, nets, s_max=2.0):
+    def __init__(self, x_dim, cond_dim, nets, s_max=FlowConfig.s_max):
         self.x_dim = int(x_dim)
         self.cond_dim = int(cond_dim)
         self.nets = list(nets)
@@ -156,7 +186,8 @@ class CouplingFlow:
         self.cond_scale = np.ones(self.cond_dim)
 
     @classmethod
-    def create(cls, x_dim, cond_dim, rng: Rng, n_blocks=6, hidden=(128, 128), s_max=2.0):
+    def create(cls, x_dim, cond_dim, rng: Rng, n_blocks=FlowConfig.n_blocks, hidden=FlowConfig.hidden,
+               s_max=FlowConfig.s_max):
         widths = half_widths(x_dim)
         nets = []
         for k, changed in enumerate(transformed_halves(x_dim, n_blocks)):
@@ -328,8 +359,8 @@ class CouplingFlow:
 class Adam:
     """Adaptive-moment optimizer over a fixed parameter list (updated in place)."""
 
-    def __init__(self, params: list[np.ndarray], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=0.0):
+    def __init__(self, params: list[np.ndarray], lr=TrainConfig.lr, beta1=0.9, beta2=0.999, eps=1e-8,
+                 weight_decay=TrainConfig.weight_decay):
         self.params = params
         self.lr = lr
         self.beta1 = beta1
@@ -371,19 +402,16 @@ def train_flow(
     x_val,
     cond_val,
     rng: Rng,
-    lr=1e-3,
-    batch_size=64,
-    max_epochs=400,
-    patience=20,
-    weight_decay=0.0,
-    lr_patience=10,
-    lr_factor=0.5,
-    min_lr=1e-5,
+    lr=TrainConfig.lr,
+    batch_size=TrainConfig.batch_size,
+    max_epochs=TrainConfig.max_epochs,
+    patience=TrainConfig.patience,
+    weight_decay=TrainConfig.weight_decay,
 ):
     """Maximum-likelihood training with early stopping on validation NLL.
 
     The learning rate is halved whenever validation loss has not improved
-    for `lr_patience` epochs (reduce-on-plateau); training stops once it
+    for `LR_PATIENCE` epochs (reduce-on-plateau); training stops once it
     has not improved for `patience` epochs. Returns a history list of
     (epoch, train_loss, val_loss). The flow is left at the weights with
     the best validation loss seen.
@@ -417,14 +445,14 @@ def train_flow(
             since_best += 1
             if since_best >= patience:
                 break
-            if since_best % lr_patience == 0 and opt.lr > min_lr:
+            if since_best % LR_PATIENCE == 0 and opt.lr > MIN_LR:
                 # restart from the best weights seen at a lower learning rate
                 if best_weights is not None:
                     for p, w in zip(flow.parameters(), best_weights):
                         p[...] = w
                 opt = Adam(
                     flow.parameters(),
-                    lr=max(opt.lr * lr_factor, min_lr),
+                    lr=max(opt.lr * LR_FACTOR, MIN_LR),
                     weight_decay=weight_decay,
                 )
     if best_weights is not None:
@@ -466,30 +494,16 @@ def save_checkpoint(flow: CouplingFlow) -> bytes:
 
 def load_checkpoint(data: bytes, expected_x_dim=None, expected_cond_dim=None) -> CouplingFlow:
     """Reconstruct a flow from `save_checkpoint` output, validating layout."""
-    if len(data) < len(CHECKPOINT_MAGIC) + 4:
-        raise CheckpointError("checkpoint truncated before header")
-    if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CheckpointError("bad checkpoint magic bytes")
-    off = len(CHECKPOINT_MAGIC)
-
-    def take(fmt):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(data):
-            raise CheckpointError("checkpoint truncated")
-        vals = struct.unpack_from(fmt, data, off)
-        off += size
-        return vals
-
-    version, x_dim, cond_dim, n_blocks, n_hidden = take("<IIIII")
+    r = ByteReader(data, CHECKPOINT_MAGIC, CheckpointError, "checkpoint")
+    version, x_dim, cond_dim, n_blocks, n_hidden = r.unpack("<IIIII")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
     if expected_x_dim is not None and x_dim != expected_x_dim:
         raise CheckpointError(f"checkpoint x_dim {x_dim} does not match expected {expected_x_dim}")
     if expected_cond_dim is not None and cond_dim != expected_cond_dim:
         raise CheckpointError(f"checkpoint cond_dim {cond_dim} does not match expected {expected_cond_dim}")
-    (s_max,) = take("<d")
-    hidden = take(f"<{n_hidden}I") if n_hidden else ()
+    (s_max,) = r.unpack("<d")
+    hidden = r.unpack(f"<{n_hidden}I")
     if x_dim < 1:
         raise CheckpointError("checkpoint x_dim must be at least 1")
     expected = _checkpoint_length(x_dim, cond_dim, n_blocks, hidden)
@@ -497,32 +511,25 @@ def load_checkpoint(data: bytes, expected_x_dim=None, expected_cond_dim=None) ->
         raise CheckpointError(f"checkpoint truncated: header implies {expected} bytes, got {len(data)}")
     if expected < len(data):
         raise CheckpointError("trailing bytes after checkpoint payload")
-
-    def take_array(count, dtype):
-        nonlocal off
-        arr = np.frombuffer(data, dtype=dtype, count=count, offset=off).copy()
-        off += count * np.dtype(dtype).itemsize
-        return arr
-
     for k, m in enumerate(alternating_masks(x_dim, n_blocks)):
-        if not np.array_equal(take_array(x_dim, np.uint8), m):
+        if not np.array_equal(r.array(x_dim, np.uint8), m):
             raise CheckpointError(f"checkpoint mask of block {k} is not the alternating half layout")
-    x_mean = take_array(x_dim, "<f8")
-    x_scale = take_array(x_dim, "<f8")
-    cond_mean = take_array(cond_dim, "<f8")
-    cond_scale = take_array(cond_dim, "<f8")
+    norms = [r.array(d, "<f8") for d in (x_dim, x_dim, cond_dim, cond_dim)]
 
     widths = half_widths(x_dim)
     nets = []
     for changed in transformed_halves(x_dim, n_blocks):
         net = ConditioningNet(widths[1 - changed], cond_dim, hidden, 2 * widths[changed], rng=None)
         for i, W in enumerate(net.weights):
-            net.weights[i] = take_array(W.size, "<f8").reshape(W.shape)
-            net.biases[i] = take_array(W.shape[1], "<f8")
+            net.weights[i] = r.array(W.size, "<f8").reshape(W.shape)
+            net.biases[i] = r.array(W.shape[1], "<f8")
         nets.append(net)
 
     out = CouplingFlow(x_dim, cond_dim, nets, s_max=s_max)
-    out.set_normalization(x_mean, x_scale, cond_mean, cond_scale)
+    try:
+        out.set_normalization(*norms)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint normalization: {exc}") from exc
     return out
 
 

@@ -1,4 +1,4 @@
-"""Dense linear algebra, reproducible RNG streams, and Gaussian sampling.
+"""Dense linear algebra, reproducible RNG streams, and binary payload reading.
 
 All numerics are float64. Arrays are plain numpy ndarrays in row-major
 order; shape checks happen at module boundaries so downstream code can
@@ -6,6 +6,8 @@ assume consistent dimensions.
 """
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -56,15 +58,6 @@ def as_matrix(a, name="array") -> np.ndarray:
     if a.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {a.shape}")
     return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit inner-dimension check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def cholesky(m, sym_tol: float = 1e-10) -> np.ndarray:
@@ -138,24 +131,33 @@ class SpdMatrix:
         return np.sum(w * w, axis=0)
 
 
-def solve_spd(m, b) -> np.ndarray:
-    """Solve m x = b for SPD m given as a dense matrix."""
-    return SpdMatrix.from_dense(m).solve(b)
+class ByteReader:
+    """Bounds-checked reader over a binary payload that starts with `magic`.
 
+    Every read checks its length against what is left of the payload
+    before it copies anything, so no header field can make a loader
+    allocate more than the payload holds. Failures raise `error`, the
+    caller's exception class, naming the payload as `what`."""
 
-def sample_gaussian(rng: Rng, mean, cov: SpdMatrix) -> np.ndarray:
-    """One draw from N(mean, cov) as mean + L z with z standard normal."""
-    mean = np.asarray(mean, dtype=np.float64)
-    if mean.shape != (cov.dim,):
-        raise ShapeError(f"mean shape {mean.shape} does not match cov dim {cov.dim}")
-    z = rng.standard_normal(cov.dim)
-    return mean + cov.chol @ z
+    def __init__(self, data: bytes, magic: bytes, error: type[Exception], what: str):
+        self.data, self.error, self.what, self.off = data, error, what, 0
+        self._advance(len(magic))
+        if data[: len(magic)] != magic:
+            raise error(f"bad {what} magic bytes")
 
+    def _advance(self, size: int) -> int:
+        if self.off + size > len(self.data):
+            raise self.error(f"{self.what} truncated")
+        self.off += size
+        return self.off - size
 
-def sample_gaussian_batch(rng: Rng, mean, cov: SpdMatrix, n: int) -> np.ndarray:
-    """n draws from N(mean, cov), one per row."""
-    mean = np.asarray(mean, dtype=np.float64)
-    if mean.shape != (cov.dim,):
-        raise ShapeError(f"mean shape {mean.shape} does not match cov dim {cov.dim}")
-    z = rng.standard_normal((n, cov.dim))
-    return mean[None, :] + z @ cov.chol.T
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.data, self._advance(struct.calcsize(fmt)))
+
+    def array(self, count: int, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.data, dtype, count, self._advance(count * dtype.itemsize)).copy()
+
+    def finish(self) -> None:
+        if self.off != len(self.data):
+            raise self.error(f"trailing bytes after {self.what} payload")

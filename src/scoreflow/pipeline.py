@@ -13,12 +13,12 @@ bundle layout on disk.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .flow import CouplingFlow, load_checkpoint, save_checkpoint, train_flow
+from .flow import CheckpointError, CouplingFlow, FlowConfig, TrainConfig, load_checkpoint, save_checkpoint, train_flow
 from .numerics import Rng, ShapeError
 from .problems import InverseProblem
 from .summary import FiducialDataset, advance_stage, build_stage0
@@ -40,25 +40,6 @@ class PipelineError(RuntimeError):
         super().__init__(message)
         self.stage = stage
         self.completed_flows = completed_flows or []
-
-
-@dataclass
-class FlowConfig:
-    n_blocks: int = 6
-    hidden: tuple[int, ...] = (128, 128)
-    s_max: float = 2.0
-
-
-@dataclass
-class TrainConfig:
-    lr: float = 1e-3
-    weight_decay: float = 0.0
-    batch_size: int = 64
-    max_epochs: int = 400
-    patience: int = 50
-    n_s_train: int = 64
-    n_s_infer: int = 256
-    val_fraction: float = 0.1
 
 
 @dataclass
@@ -124,14 +105,7 @@ def train_pipeline(
     for j in range(L + 1):
         if progress:
             progress(f"stage {j}/{L}: training flow on {ds.n_records} records")
-        flow = CouplingFlow.create(
-            problem.x_dim,
-            problem.x_dim,
-            rng.child(_KEY_FLOW_INIT, j),
-            n_blocks=flow_cfg.n_blocks,
-            hidden=tuple(flow_cfg.hidden),
-            s_max=flow_cfg.s_max,
-        )
+        flow = CouplingFlow.create(problem.x_dim, problem.x_dim, rng.child(_KEY_FLOW_INIT, j), **asdict(flow_cfg))
         dx_tr, ybar_tr = ds.train_arrays()
         dx_val, ybar_val = ds.val_arrays()
         flow.fit_normalization(dx_tr, ybar_tr)
@@ -228,16 +202,7 @@ def save_pipeline(pipeline: TrainedPipeline, out_dir) -> None:
         "seed": pipeline.seed,
         "config_hash": pipeline.config_hash,
         "problem": pipeline.problem_config,
-        "train_config": {
-            "lr": pipeline.train_config.lr,
-            "weight_decay": pipeline.train_config.weight_decay,
-            "batch_size": pipeline.train_config.batch_size,
-            "max_epochs": pipeline.train_config.max_epochs,
-            "patience": pipeline.train_config.patience,
-            "n_s_train": pipeline.train_config.n_s_train,
-            "n_s_infer": pipeline.train_config.n_s_infer,
-            "val_fraction": pipeline.train_config.val_fraction,
-        },
+        "train_config": asdict(pipeline.train_config),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     for j, flow in enumerate(pipeline.flows):
@@ -250,7 +215,10 @@ def load_pipeline(bundle_dir, problem: InverseProblem | None = None) -> TrainedP
     manifest_path = bundle / "manifest.json"
     if not manifest_path.exists():
         raise PipelineError(f"no manifest.json in bundle {bundle}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:
+        raise CheckpointError(f"bundle manifest {manifest_path} is not valid JSON: {exc}") from exc
     if manifest.get("format_version") != BUNDLE_FORMAT_VERSION:
         raise PipelineError(
             f"unsupported bundle format {manifest.get('format_version')}, expected {BUNDLE_FORMAT_VERSION}"
@@ -273,12 +241,14 @@ def load_pipeline(bundle_dir, problem: InverseProblem | None = None) -> TrainedP
             load_checkpoint(path.read_bytes(), expected_x_dim=problem.x_dim, expected_cond_dim=problem.x_dim)
         )
     tc = manifest.get("train_config", {})
-    train_cfg = TrainConfig(**tc) if tc else TrainConfig()
+    unknown = set(tc) - {f.name for f in fields(TrainConfig)}
+    if unknown:
+        raise CheckpointError(f"unknown train_config keys in bundle manifest: {sorted(unknown)}")
     return TrainedPipeline(
         problem=problem,
         flows=flows,
         seed=manifest.get("seed", 0),
         config_hash=manifest.get("config_hash", ""),
         problem_config=manifest.get("problem", {}),
-        train_config=train_cfg,
+        train_config=TrainConfig(**tc),
     )

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import CouplingFlow
-from .numerics import Rng
+from .flow import CouplingFlow, TrainConfig
+from .numerics import ByteReader, Rng
 from .problems import InverseProblem
 
 DATASET_MAGIC = b"SFIDDATA"
@@ -54,7 +54,9 @@ class FiducialDataset:
         return self.dx[m], self.ybar[m]
 
 
-def build_stage0(problem: InverseProblem, n_train: int, rng: Rng, val_fraction=0.1) -> FiducialDataset:
+def build_stage0(
+    problem: InverseProblem, n_train: int, rng: Rng, val_fraction=TrainConfig.val_fraction
+) -> FiducialDataset:
     """Stage-0 dataset: prior draws, simulated observations, default fiducial.
 
     Each record uses its own child stream keyed by the record index, so
@@ -132,33 +134,13 @@ def save_dataset(ds: FiducialDataset) -> bytes:
 
 
 def load_dataset(data: bytes, expected_stage: int | None = None) -> FiducialDataset:
-    if len(data) < len(DATASET_MAGIC) + 20:
-        raise DatasetError("dataset truncated before header")
-    if data[: len(DATASET_MAGIC)] != DATASET_MAGIC:
-        raise DatasetError("bad dataset magic bytes")
-    off = len(DATASET_MAGIC)
-    version, stage, n, x_dim, y_dim = struct.unpack_from("<IIIII", data, off)
-    off += 20
+    r = ByteReader(data, DATASET_MAGIC, DatasetError, "dataset")
+    version, stage, n, x_dim, y_dim = r.unpack("<IIIII")
     if version != DATASET_VERSION:
         raise DatasetError(f"unsupported dataset version {version}, expected {DATASET_VERSION}")
     if expected_stage is not None and stage != expected_stage:
         raise DatasetError(f"dataset is for stage {stage}, expected stage {expected_stage}")
-
-    def take(count, dtype):
-        nonlocal off
-        size = count * np.dtype(dtype).itemsize
-        if off + size > len(data):
-            raise DatasetError("dataset truncated in payload")
-        arr = np.frombuffer(data, dtype=dtype, count=count, offset=off).copy()
-        off += size
-        return arr
-
-    is_val = take(n, np.uint8).astype(bool)
-    x_true = take(n * x_dim, "<f8").reshape(n, x_dim)
-    y = take(n * y_dim, "<f8").reshape(n, y_dim)
-    x_fid = take(n * x_dim, "<f8").reshape(n, x_dim)
-    dx = take(n * x_dim, "<f8").reshape(n, x_dim)
-    ybar = take(n * x_dim, "<f8").reshape(n, x_dim)
-    if off != len(data):
-        raise DatasetError("trailing bytes after dataset payload")
+    is_val = r.array(n, np.uint8).astype(bool)
+    x_true, y, x_fid, dx, ybar = (r.array(n * d, "<f8").reshape(n, d) for d in (x_dim, y_dim, x_dim, x_dim, x_dim))
+    r.finish()
     return FiducialDataset(stage, x_true, y, x_fid, dx, ybar, is_val)

@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
+import pytest
 import yaml
 
 from scoreflow.cli import main
+from scoreflow.flow import load_checkpoint, save_checkpoint
 from scoreflow.summary import load_dataset
 
 TINY = {
@@ -68,6 +72,18 @@ class TestTrain:
         losses = (out / "training_loss.csv").read_text().splitlines()
         assert losses[0].startswith("# config_hash=")
         assert losses[1] == "stage,epoch,train_loss,val_loss"
+
+    def test_output_directory_does_not_change_outputs(self, tmp_path):
+        # the config hash stamped on every artifact leaves `paths` out
+        cfg = write_cfg(tmp_path)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["train", "--config", str(cfg), "--out", str(a)]) == 0
+        assert main(["train", "--config", str(cfg), "--out", str(b)]) == 0
+        names = sorted(f.name for f in (a / "bundle").iterdir())
+        assert names == sorted(f.name for f in (b / "bundle").iterdir())
+        for name in names:
+            assert (a / "bundle" / name).read_bytes() == (b / "bundle" / name).read_bytes()
+        assert (a / "training_loss.csv").read_bytes() == (b / "training_loss.csv").read_bytes()
 
     def test_rerun_is_bitwise_identical(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -149,6 +165,54 @@ class TestErrors:
             "--y", str(ypath), "--out", str(tmp_path / "o"),
         ])
         assert rc == 2  # bundle errors are pipeline failures
+
+
+class TestBadInputs:
+    """Each malformed input ends in exit code 1 and one `error:` line."""
+
+    def _infer(self, tmp_path, capsys, y=(0.0, 1.0, 2.0, 3.0), corrupt=None):
+        cfg = write_cfg(tmp_path)
+        bundle = tmp_path / "out" / "bundle"
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        if corrupt:
+            corrupt(bundle)
+        ypath = tmp_path / "y.txt"
+        np.savetxt(ypath, np.asarray(y))
+        capsys.readouterr()
+        rc = main([
+            "infer", "--config", str(cfg), "--bundle", str(bundle),
+            "--y", str(ypath), "--out", str(tmp_path / "inf"),
+        ])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: ")
+        return err[0]
+
+    def test_corrupt_manifest(self, tmp_path, capsys):
+        def corrupt(bundle):
+            (bundle / "manifest.json").write_text('{"format_version": 1,')
+
+        assert "manifest" in self._infer(tmp_path, capsys, corrupt=corrupt)
+
+    def test_unknown_train_config_key(self, tmp_path, capsys):
+        def corrupt(bundle):
+            manifest = json.loads((bundle / "manifest.json").read_text())
+            manifest["train_config"]["lr_patience"] = 10
+            (bundle / "manifest.json").write_text(json.dumps(manifest))
+
+        assert "lr_patience" in self._infer(tmp_path, capsys, corrupt=corrupt)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_observation(self, tmp_path, capsys, bad):
+        assert "non-finite" in self._infer(tmp_path, capsys, y=(0.0, bad, 2.0, 3.0))
+
+    def test_non_positive_checkpoint_scale(self, tmp_path, capsys):
+        def corrupt(bundle):
+            flow = load_checkpoint((bundle / "flow_001.ckpt").read_bytes())
+            flow.x_scale[0] = 0.0
+            (bundle / "flow_001.ckpt").write_bytes(save_checkpoint(flow))
+
+        assert "scale" in self._infer(tmp_path, capsys, corrupt=corrupt)
 
 
 class TestSweep:

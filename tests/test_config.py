@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 import yaml
 
@@ -8,6 +10,7 @@ from scoreflow.config import (
     problem_from_config,
     validate_config,
 )
+from scoreflow.pipeline import FlowConfig, TrainConfig
 from scoreflow.problems import LinearGaussianProblem, NonlinearToyProblem
 
 MINIMAL = {"problem": {"kind": "linear_gaussian"}}
@@ -21,6 +24,20 @@ class TestValidation:
         assert cfg.training["stages"] == 3
         assert cfg.seed == 0
 
+    def test_defaults_are_the_dataclass_defaults(self):
+        cfg = validate_config(dict(MINIMAL))
+        assert cfg.flow_config() == FlowConfig()
+        assert cfg.train_config() == TrainConfig()
+
+    @pytest.mark.parametrize(
+        "kind, builder",
+        [("linear_gaussian", LinearGaussianProblem.replication), ("nonlinear_toy", NonlinearToyProblem)],
+    )
+    def test_problem_defaults_are_the_builder_defaults(self, kind, builder):
+        cfg = validate_config({"problem": {"kind": kind}})
+        signature = {k: p.default for k, p in inspect.signature(builder).parameters.items()}
+        assert cfg.problem == {**signature, "kind": kind}
+
     def test_missing_problem_block(self):
         with pytest.raises(ConfigError, match="problem"):
             validate_config({})
@@ -28,6 +45,8 @@ class TestValidation:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown top-level"):
             validate_config({**MINIMAL, "trainnig": {}})
+        with pytest.raises(ConfigError, match="threads"):
+            validate_config({**MINIMAL, "threads": 2})  # a removed knob
 
     def test_unknown_block_key(self):
         raw = {"problem": {"kind": "linear_gaussian", "x_dmi": 4}}
@@ -78,6 +97,11 @@ class TestHashing:
         cfg2 = validate_config({**MINIMAL, "seed": 1})
         assert cfg1.config_hash() != cfg2.config_hash()
 
+    def test_hash_ignores_paths(self):
+        cfg1 = validate_config(dict(MINIMAL))
+        cfg2 = validate_config({**MINIMAL, "paths": {"out_dir": "elsewhere"}})
+        assert cfg1.config_hash() == cfg2.config_hash()
+
     def test_hash_stable_across_calls(self):
         cfg = validate_config(dict(MINIMAL))
         assert cfg.config_hash() == cfg.config_hash()
@@ -122,6 +146,7 @@ class TestProblemFromConfig:
         import numpy as np
 
         assert np.array_equal(a.A, b.A)
+        assert np.array_equal(a.A, LinearGaussianProblem.replication().A)
 
     def test_train_and_flow_config_extraction(self):
         cfg = validate_config({**MINIMAL, "training": {"lr": 5e-4}, "flow": {"n_blocks": 2}})

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from scoreflow.flow import (
     Adam,
     CheckpointError,
     CouplingFlow,
+    FlowConfig,
+    TrainConfig,
     load_checkpoint,
     save_checkpoint,
     train_flow,
@@ -496,3 +500,14 @@ class TestCheckpoint:
         blob[8] = 99  # version field
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(bytes(blob))
+
+
+class TestDefaults:
+    def test_keyword_defaults_are_the_dataclass_defaults(self):
+        create = inspect.signature(CouplingFlow.create).parameters
+        for name, value in vars(FlowConfig()).items():
+            assert create[name].default == value
+        train = inspect.signature(train_flow).parameters
+        cfg = vars(TrainConfig())
+        for name in ("lr", "batch_size", "max_epochs", "patience", "weight_decay"):
+            assert train[name].default == cfg[name]

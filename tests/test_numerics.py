@@ -4,56 +4,9 @@ import pytest
 from scoreflow.numerics import (
     NotSpdError,
     Rng,
-    ShapeError,
     SpdMatrix,
     cholesky,
-    matmul,
-    sample_gaussian,
-    sample_gaussian_batch,
-    solve_spd,
 )
-
-
-def triple_loop_matmul(a, b):
-    m, k = a.shape
-    k2, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            for p in range(k):
-                out[i, j] += a[i, p] * b[p, j]
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), b), b)
-
-    def test_zero_row_annihilation(self):
-        a = np.array([[1.0, 0.0], [0.0, 0.0]])
-        b = np.array([[0.0], [5.0]])
-        assert np.array_equal(matmul(a, b), np.array([[0.0], [0.0]]))
-
-    def test_matches_triple_loop_oracle(self):
-        rng = Rng(3)
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3))
-        assert np.abs(matmul(a, b) - triple_loop_matmul(a, b)).max() < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.eye(2), np.zeros((3, 2)))
-
-    def test_associativity(self):
-        rng = Rng(4)
-        for _ in range(5):
-            a = rng.standard_normal((4, 3))
-            b = rng.standard_normal((3, 5))
-            c = rng.standard_normal((5, 2))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.abs(left - right).max() / max(np.abs(left).max(), 1.0) < 1e-10
 
 
 class TestCholesky:
@@ -91,10 +44,10 @@ class TestCholesky:
 class TestSolveSpd:
     def test_identity(self):
         b = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(solve_spd(np.eye(3), b), b, atol=1e-14)
+        assert np.allclose(SpdMatrix.from_dense(np.eye(3)).solve(b), b, atol=1e-14)
 
     def test_diagonal(self):
-        x = solve_spd(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
+        x = SpdMatrix.from_dense(np.diag([2.0, 4.0])).solve(np.array([2.0, 8.0]))
         assert np.allclose(x, [1.0, 2.0], atol=1e-14)
 
     def test_residual_oracle(self):
@@ -102,41 +55,8 @@ class TestSolveSpd:
         a = rng.standard_normal((8, 8))
         m = a.T @ a + np.eye(8)
         b = rng.standard_normal(8)
-        x = solve_spd(m, b)
+        x = SpdMatrix.from_dense(m).solve(b)
         assert np.linalg.norm(m @ x - b) / np.linalg.norm(b) <= 1e-10
-
-
-class TestSampleGaussian:
-    def test_degenerate_covariance_returns_mean(self):
-        mu = np.array([1.0, -2.0, 0.5])
-        cov = SpdMatrix.diagonal(np.full(3, 1e-30))
-        draw = sample_gaussian(Rng(0), mu, cov)
-        assert np.abs(draw - mu).max() < 1e-10
-
-    def test_standard_normal_moments(self):
-        n = 100_000
-        draws = sample_gaussian_batch(Rng(1), np.zeros(2), SpdMatrix.identity(2), n)
-        assert np.abs(draws.mean(axis=0)).max() < 0.02
-        emp_cov = np.cov(draws.T)
-        assert np.linalg.norm(emp_cov - np.eye(2)) < 0.05
-
-    def test_determinism_seed_42(self):
-        cov = SpdMatrix.identity(3)
-        a = sample_gaussian(Rng(42), np.zeros(3), cov)
-        b = sample_gaussian(Rng(42), np.zeros(3), cov)
-        assert np.array_equal(a, b)
-
-    def test_four_sigma_mean_bound(self):
-        n = 100_000
-        mean = np.array([2.0, -1.0])
-        cov = SpdMatrix.diagonal([4.0, 0.25])
-        draws = sample_gaussian_batch(Rng(2), mean, cov, n)
-        bound = 4.0 * np.sqrt(np.diag(cov.dense()).max() / n) * 5.0
-        assert np.abs(draws.mean(axis=0) - mean).max() <= bound
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            sample_gaussian(Rng(0), np.zeros(2), SpdMatrix.identity(3))
 
 
 class TestRng:

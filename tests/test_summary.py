@@ -207,6 +207,13 @@ class TestSerialization:
         with pytest.raises(DatasetError, match="truncated"):
             load_dataset(blob[:-8])
 
+    def test_record_count_checked_before_reading(self):
+        # a header claiming 2**32 - 1 records is refused from the payload length
+        blob = bytearray(save_dataset(self._dataset()))
+        blob[16:20] = (2**32 - 1).to_bytes(4, "little")  # n, after magic, version and stage
+        with pytest.raises(DatasetError, match="truncated"):
+            load_dataset(bytes(blob))
+
     def test_trailing_bytes(self):
         blob = save_dataset(self._dataset())
         with pytest.raises(DatasetError, match="trailing"):
