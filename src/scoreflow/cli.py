@@ -9,7 +9,6 @@ seed produce bitwise-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -18,7 +17,8 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_config, problem_from_config
 from .flow import CheckpointError
-from .metrics import evaluate_testset, sweep_training_size, write_records_csv, write_summary_csv, write_sweep_csv
+from .metrics import evaluate_testset, sweep_training_size
+from .metrics import write_csv, write_records_csv, write_summary_csv, write_sweep_csv
 from .numerics import Rng, ShapeError
 from .pipeline import PipelineError, TrainedPipeline, infer, load_pipeline, save_pipeline, train_pipeline
 from .pipeline import intermediate_trajectory  # noqa: F401  (bound here; bench/tracer.py patches it)
@@ -44,19 +44,11 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _write_vector_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) for v in row])
-
-
 def cmd_generate(args) -> int:
     cfg = _effective_config(args)
     problem = problem_from_config(cfg.problem)
     out = _out_dir(cfg)
-    n_train = int(cfg.training["n_train"])
+    n_train = cfg.training["n_train"]
     _progress(f"generating stage-0 dataset with {n_train} records")
     rng = Rng(cfg.seed)
     ds = build_stage0(problem, n_train, rng.child(0), val_fraction=cfg.training["val_fraction"])
@@ -79,13 +71,12 @@ def cmd_train(args) -> int:
     problem = problem_from_config(cfg.problem)
     out = _out_dir(cfg)
     bundle_dir = out / "bundle"
-    L = int(cfg.training["stages"])
     rng = Rng(cfg.seed)
     try:
         pipeline, _ = train_pipeline(
             problem,
-            int(cfg.training["n_train"]),
-            L,
+            cfg.training["n_train"],
+            cfg.training["stages"],
             cfg.flow_config(),
             cfg.train_config(),
             rng,
@@ -108,13 +99,8 @@ def cmd_train(args) -> int:
     pipeline.config_hash = cfg.config_hash()
     pipeline.problem_config = cfg.problem
     save_pipeline(pipeline, bundle_dir)
-    with open(out / "training_loss.csv", "w", newline="") as fh:
-        fh.write(f"# config_hash={cfg.config_hash()}\n")
-        w = csv.writer(fh)
-        w.writerow(["stage", "epoch", "train_loss", "val_loss"])
-        for j, history in enumerate(pipeline.stage_histories):
-            for epoch, tr, va in history:
-                w.writerow([j, epoch, repr(tr), repr(va)])
+    rows = ([j, *entry] for j, history in enumerate(pipeline.stage_histories) for entry in history)
+    write_csv(out / "training_loss.csv", ["stage", "epoch", "train_loss", "val_loss"], rows, cfg.config_hash())
     _progress(f"bundle saved to {bundle_dir}")
     return 0
 
@@ -136,21 +122,14 @@ def cmd_infer(args) -> int:
     out = _out_dir(cfg)
     pipeline = load_pipeline(args.bundle)
     y = _load_y(args.y, pipeline.problem.y_dim)
-    n_samples = args.n_samples
-    rng = Rng(cfg.seed)
-    _progress(f"inferring with {pipeline.n_stages} fiducial updates, {n_samples} samples")
-    ens = infer(pipeline, y, n_samples, rng.child(0))
-    d = pipeline.problem.x_dim
-    xcols = [f"x{i}" for i in range(d)]
-    _write_vector_csv(out / "samples.csv", xcols, ens.samples)
-    _write_vector_csv(out / "mean.csv", xcols, [ens.mean])
-    _write_vector_csv(out / "std.csv", xcols, [ens.std])
-    with open(out / "trajectory.csv", "w", newline="") as fh:
-        fh.write(f"# config_hash={cfg.config_hash()}\n")
-        w = csv.writer(fh)
-        w.writerow(["stage", "score_norm"] + xcols)
-        for i, (x, ybar) in enumerate(ens.trajectory):
-            w.writerow([i, repr(float(np.linalg.norm(ybar)))] + [repr(float(v)) for v in x])
+    _progress(f"inferring with {pipeline.n_stages} fiducial updates, {args.n_samples} samples")
+    ens = infer(pipeline, y, args.n_samples, Rng(cfg.seed).child(0))
+    xcols = [f"x{i}" for i in range(pipeline.problem.x_dim)]
+    write_csv(out / "samples.csv", xcols, ens.samples.tolist())
+    write_csv(out / "mean.csv", xcols, [ens.mean.tolist()])
+    write_csv(out / "std.csv", xcols, [ens.std.tolist()])
+    rows = ([i, np.linalg.norm(ybar), *x.tolist()] for i, (x, ybar) in enumerate(ens.trajectory))
+    write_csv(out / "trajectory.csv", ["stage", "score_norm"] + xcols, rows, cfg.config_hash())
     _progress(f"ensemble files written to {out}")
     return 0
 
@@ -169,10 +148,10 @@ def cmd_evaluate(args) -> int:
     report = evaluate_testset(
         pipeline,
         problem,
-        int(cfg.eval["n_test"]),
+        cfg.eval["n_test"],
         rng.child(0),
-        n_samples=int(cfg.eval["n_samples"]),
-        psnr_range=float(cfg.eval["psnr_range"]),
+        n_samples=cfg.eval["n_samples"],
+        psnr_range=cfg.eval["psnr_range"],
         progress=_progress,
     )
     write_records_csv(report, out / "metrics_records.csv", cfg.config_hash())
@@ -188,14 +167,14 @@ def cmd_sweep(args) -> int:
     rng = Rng(cfg.seed)
     results = sweep_training_size(
         problem,
-        [int(s) for s in cfg.sweep["sizes"]],
-        int(cfg.training["stages"]),
+        cfg.sweep["sizes"],
+        cfg.training["stages"],
         cfg.flow_config(),
         cfg.train_config(),
         rng,
-        n_test=int(cfg.eval["n_test"]),
-        n_samples=int(cfg.eval["n_samples"]),
-        psnr_range=float(cfg.eval["psnr_range"]),
+        n_test=cfg.eval["n_test"],
+        n_samples=cfg.eval["n_samples"],
+        psnr_range=cfg.eval["psnr_range"],
         progress=_progress,
     )
     write_sweep_csv(results, out / "sweep.csv", cfg.config_hash())

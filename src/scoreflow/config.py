@@ -2,9 +2,10 @@
 
 The config file is a nested key-value document with blocks `problem`,
 `flow`, `training`, `eval`, `sweep`, `paths`, plus a top-level `seed`.
-Unknown keys anywhere are errors so hyperparameter typos fail fast. The
-`flow` and `training` defaults are the fields of `FlowConfig` and
-`TrainConfig`, and each problem kind's defaults are its builder's keyword
+Unknown keys anywhere are errors so hyperparameter typos fail fast, and
+each value must have its default's type. The `flow`, `training` and
+`eval` defaults are the fields of `FlowConfig`, `TrainConfig` and
+`EvalConfig`, and each problem kind's defaults are its builder's keyword
 defaults, so every setting is defined once. Every output artifact embeds
 the sha256 hash of the canonicalized config without its `paths` block, so
 results can be traced back to their exact settings wherever they were
@@ -16,11 +17,13 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import yaml
 
 from .flow import FlowConfig, TrainConfig
+from .metrics import EvalConfig
 from .problems import InverseProblem, LinearGaussianProblem, NonlinearToyProblem
 
 
@@ -43,22 +46,38 @@ _FLOW_DEFAULTS = asdict(FlowConfig())
 # n_train and stages are arguments of `train_pipeline`, not `TrainConfig` fields
 _TRAINING_DEFAULTS = {**asdict(TrainConfig()), "n_train": 1000, "stages": 3}
 
-_EVAL_DEFAULTS = {"n_test": 50, "n_samples": 2000, "psnr_range": 2.0}
+_EVAL_DEFAULTS = asdict(EvalConfig())
 
 _SWEEP_DEFAULTS = {"sizes": [400, 1000, 2000]}
 
 _PATHS_DEFAULTS = {"out_dir": "runs/out"}
 
 
-def _merge_block(name: str, defaults: dict, given: dict) -> dict:
+def _typed(where: str, default, value):
+    """`value` as its default's type. A float also accepts an int or a string that parses as a finite
+    float, a list's elements are typed like its default's first element, and bools are not ints."""
+    if isinstance(default, (list, tuple)) and isinstance(value, (list, tuple)):
+        return type(default)(_typed(f"{where}[{i}]", default[0], v) for i, v in enumerate(value))
+    if isinstance(default, float) and type(value) in (int, float, str):
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if math.isfinite(number):
+            return number
+    elif type(value) is type(default):
+        return value
+    raise ConfigError(f"{where} must be of type {type(default).__name__}, got {value!r}")
+
+
+def merge_block(name: str, defaults: dict, given: dict) -> dict:
+    """`defaults` updated with `given`, whose keys must be known and whose values must type-check."""
     if not isinstance(given, dict):
         raise ConfigError(f"config block '{name}' must be a mapping")
     unknown = set(given) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown keys in '{name}': {sorted(unknown)}")
-    out = dict(defaults)
-    out.update(given)
-    return out
+    return {**defaults, **{k: _typed(f"{name}.{k}", defaults[k], v) for k, v in given.items()}}
 
 
 @dataclass
@@ -76,7 +95,7 @@ class RunConfig:
         return canonical_hash({k: v for k, v in asdict(self).items() if k != "paths"})
 
     def flow_config(self) -> FlowConfig:
-        return FlowConfig(**{**self.flow, "hidden": tuple(self.flow["hidden"])})
+        return FlowConfig(**self.flow)
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(**{f.name: self.training[f.name] for f in fields(TrainConfig)})
@@ -99,7 +118,7 @@ def validate_config(raw: dict) -> RunConfig:
     if not isinstance(prob_raw, dict) or "kind" not in prob_raw:
         raise ConfigError("'problem' must be a mapping with a 'kind' key")
     kind = prob_raw["kind"]
-    if kind not in _PROBLEM_DEFAULTS:
+    if not isinstance(kind, str) or kind not in _PROBLEM_DEFAULTS:
         raise ConfigError(f"unknown problem kind '{kind}', expected one of {sorted(_PROBLEM_DEFAULTS)}")
     blocks = {
         "problem": {**_PROBLEM_DEFAULTS[kind], "kind": kind},
@@ -110,8 +129,8 @@ def validate_config(raw: dict) -> RunConfig:
         "paths": _PATHS_DEFAULTS,
     }
     cfg = RunConfig(
-        **{name: _merge_block(name, defaults, raw.get(name, {})) for name, defaults in blocks.items()},
-        seed=int(raw.get("seed", 0)),
+        **{name: merge_block(name, defaults, raw.get(name, {})) for name, defaults in blocks.items()},
+        seed=_typed("seed", 0, raw.get("seed", 0)),
     )
     _validate_values(cfg)
     return cfg
@@ -119,24 +138,20 @@ def validate_config(raw: dict) -> RunConfig:
 
 def _validate_values(cfg: RunConfig) -> None:
     t = cfg.training
-    for key in ("batch_size", "max_epochs", "patience", "n_train", "n_s_train", "n_s_infer"):
-        if int(t[key]) < 1:
-            raise ConfigError(f"training.{key} must be >= 1, got {t[key]}")
-    if int(t["stages"]) < 0:
+    counts = [("training", k) for k in ("batch_size", "max_epochs", "patience", "n_train", "n_s_train", "n_s_infer")]
+    for block, key in counts + [("eval", "n_test"), ("eval", "n_samples"), ("flow", "n_blocks")]:
+        if getattr(cfg, block)[key] < 1:
+            raise ConfigError(f"{block}.{key} must be >= 1, got {getattr(cfg, block)[key]}")
+    if t["stages"] < 0:
         raise ConfigError(f"training.stages must be >= 0, got {t['stages']}")
-    if not 0.0 <= float(t["val_fraction"]) < 1.0:
+    if not 0.0 <= t["val_fraction"] < 1.0:
         raise ConfigError(f"training.val_fraction must be in [0, 1), got {t['val_fraction']}")
-    if float(t["lr"]) <= 0:
+    if t["lr"] <= 0:
         raise ConfigError(f"training.lr must be positive, got {t['lr']}")
-    for key in ("n_test", "n_samples"):
-        if int(cfg.eval[key]) < 1:
-            raise ConfigError(f"eval.{key} must be >= 1, got {cfg.eval[key]}")
-    if float(cfg.eval["psnr_range"]) <= 0:
+    if cfg.eval["psnr_range"] <= 0:
         raise ConfigError(f"eval.psnr_range must be positive, got {cfg.eval['psnr_range']}")
-    if int(cfg.flow["n_blocks"]) < 1:
-        raise ConfigError(f"flow.n_blocks must be >= 1, got {cfg.flow['n_blocks']}")
     sizes = cfg.sweep["sizes"]
-    if not isinstance(sizes, list) or not sizes or any(int(s) < 1 for s in sizes):
+    if not sizes or any(s < 1 for s in sizes):
         raise ConfigError(f"sweep.sizes must be a nonempty list of positive ints, got {sizes}")
 
 
@@ -147,13 +162,13 @@ def load_config(path) -> RunConfig:
 
 
 def problem_from_config(prob: dict) -> InverseProblem:
-    """Build a problem instance from a validated problem block.
-
-    Each value is cast to the type of its builder default, so YAML ints
-    given for float parameters build the same problem as floats do.
-    """
-    kind = prob.get("kind")
-    if kind not in _PROBLEM_BUILDERS:
+    """Build a problem instance from a problem block that gives every one of
+    its builder's keys, with its default's type, and its `kind`."""
+    kind = prob.get("kind") if isinstance(prob, dict) else None
+    if not isinstance(kind, str) or kind not in _PROBLEM_BUILDERS:
         raise ConfigError(f"unknown problem kind '{kind}'")
-    params = {name: type(default)(prob[name]) for name, default in _PROBLEM_DEFAULTS[kind].items()}
+    missing = set(_PROBLEM_DEFAULTS[kind]) - set(prob)
+    if missing:
+        raise ConfigError(f"problem block lacks keys {sorted(missing)}")
+    params = merge_block("problem", _PROBLEM_DEFAULTS[kind], {k: v for k, v in prob.items() if k != "kind"})
     return _PROBLEM_BUILDERS[kind](**params)

@@ -11,8 +11,7 @@ uses the ensemble mean.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 from scipy.signal import convolve2d
@@ -44,7 +43,7 @@ def psnr(estimate, truth, data_range: float) -> float:
     r = rmse(estimate, truth)
     if r == 0.0:
         return float("inf")
-    return 20.0 * np.log10(data_range) - 20.0 * np.log10(r)
+    return float(20.0 * np.log10(data_range) - 20.0 * np.log10(r))
 
 
 def ssim(estimate, truth, data_range: float, window: int = 11, sigma: float = 1.5,
@@ -89,6 +88,15 @@ def moment_errors(ens: PosteriorEnsemble, oracle: AnalyticPosterior) -> tuple[fl
 
 
 @dataclass
+class EvalConfig:
+    """Evaluation sizes; the config's `eval` block and the evaluation functions take their defaults from here."""
+
+    n_test: int = 50
+    n_samples: int = 2000
+    psnr_range: float = 2.0
+
+
+@dataclass
 class MetricRecord:
     stage: int  # 1-based; stage s is flow s-1's approximation
     obs: int
@@ -126,8 +134,8 @@ def evaluate_testset(
     problem: InverseProblem,
     n_test: int,
     rng: Rng,
-    n_samples: int = 2000,
-    psnr_range: float = 2.0,
+    n_samples: int = EvalConfig.n_samples,
+    psnr_range: float = EvalConfig.psnr_range,
     progress=None,
 ) -> MetricReport:
     """Fresh test observations through the full inference loop, scored per stage."""
@@ -183,9 +191,9 @@ def sweep_training_size(
     flow_cfg: FlowConfig,
     train_cfg: TrainConfig,
     rng: Rng,
-    n_test: int = 50,
-    n_samples: int = 2000,
-    psnr_range: float = 2.0,
+    n_test: int = EvalConfig.n_test,
+    n_samples: int = EvalConfig.n_samples,
+    psnr_range: float = EvalConfig.psnr_range,
     progress=None,
 ) -> dict[int, MetricReport]:
     """Train and evaluate one pipeline per training-set size."""
@@ -203,48 +211,33 @@ def sweep_training_size(
     return out
 
 
-_RECORD_FIELDS = ["stage", "obs", "mean_err", "cov_err", "psnr", "ssim", "rmse"]
-
-
-def write_records_csv(report: MetricReport, path, config_hash: str = "") -> None:
-    """Per-record metrics; one row per (stage, observation)."""
+def write_csv(path, header: list[str], rows, config_hash: str = "") -> None:
+    """Every CSV artifact: an optional `# config_hash=` line, the header, then the rows.
+    `csv` writes each float as its shortest round-trip decimal, so it reads back exactly."""
     with open(path, "w", newline="") as fh:
         if config_hash:
             fh.write(f"# config_hash={config_hash}\n")
         w = csv.writer(fh)
-        w.writerow(_RECORD_FIELDS)
-        for r in report.records:
-            w.writerow([r.stage, r.obs, repr(r.mean_err), repr(r.cov_err),
-                        repr(r.psnr), repr(r.ssim), repr(r.rmse)])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_records_csv(report: MetricReport, path, config_hash: str = "") -> None:
+    """Per-record metrics; one row per (stage, observation)."""
+    write_csv(path, [f.name for f in fields(MetricRecord)], map(astuple, report.records), config_hash)
 
 
 def write_summary_csv(report: MetricReport, path, config_hash: str = "") -> None:
     """Per-stage aggregates (mean and std over observations)."""
     metrics = ["mean_err", "cov_err", "psnr", "ssim", "rmse"]
-    aggs = {m: report.aggregate(m) for m in metrics}
-    with open(path, "w", newline="") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
-        w = csv.writer(fh)
-        w.writerow(["stage"] + [f"{m}_{k}" for m in metrics for k in ("mean", "std")])
-        for s in range(1, report.n_stages + 1):
-            row = [s]
-            for m in metrics:
-                mean, std = aggs[m][s - 1]
-                row.extend([repr(mean), repr(std)])
-            w.writerow(row)
+    aggs = [report.aggregate(m) for m in metrics]
+    rows = ([s + 1] + [v for agg in aggs for v in agg[s]] for s in range(report.n_stages))
+    write_csv(path, ["stage"] + [f"{m}_{k}" for m in metrics for k in ("mean", "std")], rows, config_hash)
 
 
 def write_sweep_csv(results: dict[int, MetricReport], path, config_hash: str = "") -> None:
     """Sweep matrix: one row per (training size, stage) with aggregate errors."""
     metrics = ["mean_err", "cov_err", "psnr", "rmse"]
-    with open(path, "w", newline="") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
-        w = csv.writer(fh)
-        w.writerow(["n_train", "stage"] + [f"{m}_mean" for m in metrics])
-        for n_train in sorted(results):
-            report = results[n_train]
-            aggs = {m: report.aggregate(m) for m in metrics}
-            for s in range(1, report.n_stages + 1):
-                w.writerow([n_train, s] + [repr(aggs[m][s - 1][0]) for m in metrics])
+    aggs = {n: [results[n].aggregate(m) for m in metrics] for n in sorted(results)}
+    rows = ([n, s + 1] + [agg[s][0] for agg in aggs[n]] for n in aggs for s in range(results[n].n_stages))
+    write_csv(path, ["n_train", "stage"] + [f"{m}_mean" for m in metrics], rows, config_hash)

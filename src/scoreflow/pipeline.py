@@ -13,7 +13,7 @@ bundle layout on disk.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +211,8 @@ def save_pipeline(pipeline: TrainedPipeline, out_dir) -> None:
 
 def load_pipeline(bundle_dir, problem: InverseProblem | None = None) -> TrainedPipeline:
     """Load a bundle; rebuilds the problem from the manifest unless one is given."""
+    from .config import ConfigError, merge_block, problem_from_config  # import cycle: config -> metrics -> pipeline
+
     bundle = Path(bundle_dir)
     manifest_path = bundle / "manifest.json"
     if not manifest_path.exists():
@@ -219,14 +221,21 @@ def load_pipeline(bundle_dir, problem: InverseProblem | None = None) -> TrainedP
         manifest = json.loads(manifest_path.read_text())
     except ValueError as exc:
         raise CheckpointError(f"bundle manifest {manifest_path} is not valid JSON: {exc}") from exc
-    if manifest.get("format_version") != BUNDLE_FORMAT_VERSION:
-        raise PipelineError(
-            f"unsupported bundle format {manifest.get('format_version')}, expected {BUNDLE_FORMAT_VERSION}"
-        )
-    if problem is None:
-        from .config import problem_from_config
-
-        problem = problem_from_config(manifest["problem"])
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"bundle manifest {manifest_path} is not a JSON object")
+    shape = {"x_dim": int, "y_dim": int, "n_flows": int, "problem": dict}
+    bad = [k for k, t in shape.items() if type(manifest.get(k)) is not t or t is int and manifest[k] < 1]
+    if bad:
+        raise CheckpointError(f"bundle manifest {manifest_path} lacks a valid {', '.join(bad)}")
+    version = manifest.get("format_version")
+    if version != BUNDLE_FORMAT_VERSION:
+        raise PipelineError(f"unsupported bundle format {version}, expected {BUNDLE_FORMAT_VERSION}")
+    try:
+        if problem is None:
+            problem = problem_from_config(manifest["problem"])
+        tc = merge_block("train_config", asdict(TrainConfig()), manifest.get("train_config", {}))
+    except ConfigError as exc:
+        raise CheckpointError(f"bundle manifest {manifest_path}: {exc}") from exc
     if problem.x_dim != manifest["x_dim"] or problem.y_dim != manifest["y_dim"]:
         raise PipelineError(
             f"bundle dims ({manifest['x_dim']}, {manifest['y_dim']}) do not match "
@@ -240,15 +249,11 @@ def load_pipeline(bundle_dir, problem: InverseProblem | None = None) -> TrainedP
         flows.append(
             load_checkpoint(path.read_bytes(), expected_x_dim=problem.x_dim, expected_cond_dim=problem.x_dim)
         )
-    tc = manifest.get("train_config", {})
-    unknown = set(tc) - {f.name for f in fields(TrainConfig)}
-    if unknown:
-        raise CheckpointError(f"unknown train_config keys in bundle manifest: {sorted(unknown)}")
     return TrainedPipeline(
         problem=problem,
         flows=flows,
         seed=manifest.get("seed", 0),
         config_hash=manifest.get("config_hash", ""),
-        problem_config=manifest.get("problem", {}),
+        problem_config=manifest["problem"],
         train_config=TrainConfig(**tc),
     )

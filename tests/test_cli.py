@@ -167,6 +167,12 @@ class TestErrors:
         assert rc == 2  # bundle errors are pipeline failures
 
 
+def edit_manifest(bundle, change):
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    change(manifest)
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+
+
 class TestBadInputs:
     """Each malformed input ends in exit code 1 and one `error:` line."""
 
@@ -194,13 +200,39 @@ class TestBadInputs:
 
         assert "manifest" in self._infer(tmp_path, capsys, corrupt=corrupt)
 
+    def test_manifest_not_an_object(self, tmp_path, capsys):
+        def corrupt(bundle):
+            (bundle / "manifest.json").write_text("[1, 2]")
+
+        assert self._infer(tmp_path, capsys, corrupt=corrupt).endswith("is not a JSON object")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [(k, "absent") for k in ("problem", "x_dim", "y_dim", "n_flows")] + [("n_flows", 0), ("x_dim", "2")],
+    )
+    def test_manifest_lacks_key(self, tmp_path, capsys, key, value):
+        def corrupt(bundle):
+            edit_manifest(bundle, lambda m: m.pop(key) if value == "absent" else m.update({key: value}))
+
+        assert self._infer(tmp_path, capsys, corrupt=corrupt).endswith(f"lacks a valid {key}")
+
+    def test_manifest_problem_lacks_builder_key(self, tmp_path, capsys):
+        def corrupt(bundle):
+            edit_manifest(bundle, lambda m: m["problem"].pop("y_dim"))
+
+        assert "y_dim" in self._infer(tmp_path, capsys, corrupt=corrupt)
+
     def test_unknown_train_config_key(self, tmp_path, capsys):
         def corrupt(bundle):
-            manifest = json.loads((bundle / "manifest.json").read_text())
-            manifest["train_config"]["lr_patience"] = 10
-            (bundle / "manifest.json").write_text(json.dumps(manifest))
+            edit_manifest(bundle, lambda m: m["train_config"].update(lr_patience=10))
 
         assert "lr_patience" in self._infer(tmp_path, capsys, corrupt=corrupt)
+
+    def test_mistyped_train_config_value(self, tmp_path, capsys):
+        def corrupt(bundle):
+            edit_manifest(bundle, lambda m: m["train_config"].update(lr="fast"))
+
+        assert "train_config.lr" in self._infer(tmp_path, capsys, corrupt=corrupt)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_observation(self, tmp_path, capsys, bad):

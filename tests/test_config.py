@@ -1,4 +1,5 @@
 import inspect
+from dataclasses import asdict
 
 import pytest
 import yaml
@@ -10,6 +11,7 @@ from scoreflow.config import (
     problem_from_config,
     validate_config,
 )
+from scoreflow.metrics import EvalConfig, evaluate_testset, sweep_training_size
 from scoreflow.pipeline import FlowConfig, TrainConfig
 from scoreflow.problems import LinearGaussianProblem, NonlinearToyProblem
 
@@ -28,6 +30,11 @@ class TestValidation:
         cfg = validate_config(dict(MINIMAL))
         assert cfg.flow_config() == FlowConfig()
         assert cfg.train_config() == TrainConfig()
+        assert cfg.eval == asdict(EvalConfig())
+        for fn in (evaluate_testset, sweep_training_size):
+            for name, p in inspect.signature(fn).parameters.items():
+                if name in cfg.eval and p.default is not p.empty:
+                    assert p.default == cfg.eval[name], (fn.__name__, name)
 
     @pytest.mark.parametrize(
         "kind, builder",
@@ -56,6 +63,10 @@ class TestValidation:
     def test_unknown_problem_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             validate_config({"problem": {"kind": "heat_equation"}})
+        with pytest.raises(ConfigError, match="kind"):
+            validate_config({"problem": {"kind": ["linear_gaussian"]}})  # not hashable
+        with pytest.raises(ConfigError, match="kind"):
+            problem_from_config({"kind": ["linear_gaussian"]})
 
     def test_toy_keys_rejected_for_linear(self):
         raw = {"problem": {"kind": "linear_gaussian", "nonlin_scale": 2.0}}
@@ -73,6 +84,34 @@ class TestValidation:
             validate_config({**MINIMAL, "eval": {"psnr_range": -2.0}})
         with pytest.raises(ConfigError, match="sizes"):
             validate_config({**MINIMAL, "sweep": {"sizes": []}})
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"training": {"lr": "abc"}}, "training.lr"),
+            ({"training": {"lr": float("nan")}}, "training.lr"),
+            ({"seed": "abc"}, "seed"),
+            ({"flow": {"n_blocks": 2.5}}, "flow.n_blocks"),
+            ({"flow": {"n_blocks": True}}, "flow.n_blocks"),
+            ({"flow": {"hidden": 64}}, "flow.hidden"),
+            ({"training": {"batch_size": 8.5}}, "training.batch_size"),
+            ({"training": {"stages": 1.5}}, "training.stages"),
+            ({"problem": {"kind": "linear_gaussian", "x_dim": 4.5}}, "problem.x_dim"),
+            ({"sweep": {"sizes": [20.5]}}, "sweep.sizes"),
+        ],
+    )
+    def test_values_must_have_their_defaults_type(self, raw, key):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            validate_config({**MINIMAL, **raw})
+
+    def test_numbers_are_read_as_their_defaults_type(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("problem: {kind: linear_gaussian}\ntraining: {lr: 1e-3}\neval: {psnr_range: 2}\n")
+        cfg = load_config(path)
+        assert cfg.training["lr"] == 0.001 and cfg.eval["psnr_range"] == 2.0
+        assert type(cfg.eval["psnr_range"]) is float
+        assert cfg.config_hash() == validate_config({**MINIMAL, "training": {"lr": 0.001}}).config_hash()
+        assert cfg.flow_config().hidden == (128, 128)
 
     def test_overrides_survive(self):
         raw = {

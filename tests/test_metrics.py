@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -220,9 +222,10 @@ class TestCsvWriters:
         assert lines[0] == "# config_hash=deadbeef"
         assert lines[1].startswith("stage,obs,")
         assert len(lines) == 2 + len(rep.records)
-        # repr round-trips float64 exactly
-        first = lines[2].split(",")
-        assert float(first[2]) == rep.records[0].mean_err
+        # every column of every row reads back as its record's exact value
+        for line, record in zip(lines[2:], rep.records):
+            for text, value in zip(line.split(","), astuple(record), strict=True):
+                assert float(text) == value or (np.isnan(value) and text == "nan")
 
     def test_summary_and_sweep(self, tmp_path):
         p = tiny_problem()
