@@ -119,6 +119,8 @@ def _load_y(path: str, y_dim: int) -> np.ndarray:
 
 def cmd_infer(args) -> int:
     cfg = _effective_config(args)
+    if args.n_samples < 1:
+        raise ConfigError(f"--n-samples must be >= 1, got {args.n_samples}")
     out = _out_dir(cfg)
     pipeline = load_pipeline(args.bundle)
     y = _load_y(args.y, pipeline.problem.y_dim)

@@ -171,4 +171,7 @@ def problem_from_config(prob: dict) -> InverseProblem:
     if missing:
         raise ConfigError(f"problem block lacks keys {sorted(missing)}")
     params = merge_block("problem", _PROBLEM_DEFAULTS[kind], {k: v for k, v in prob.items() if k != "kind"})
-    return _PROBLEM_BUILDERS[kind](**params)
+    try:
+        return _PROBLEM_BUILDERS[kind](**params)
+    except ValueError as exc:
+        raise ConfigError(f"problem block ({kind}) is invalid: {exc}") from exc

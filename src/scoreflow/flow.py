@@ -503,6 +503,8 @@ def load_checkpoint(data: bytes, expected_x_dim=None, expected_cond_dim=None) ->
     if expected_cond_dim is not None and cond_dim != expected_cond_dim:
         raise CheckpointError(f"checkpoint cond_dim {cond_dim} does not match expected {expected_cond_dim}")
     (s_max,) = r.unpack("<d")
+    if not 0.0 < s_max < np.inf:
+        raise CheckpointError(f"checkpoint s_max must be positive and finite, got {s_max}")
     hidden = r.unpack(f"<{n_hidden}I")
     if x_dim < 1:
         raise CheckpointError("checkpoint x_dim must be at least 1")

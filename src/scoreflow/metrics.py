@@ -6,6 +6,11 @@ baseline and stage L+1 is the final approximation. Point-estimate image
 metrics use the updated fiducial x_s (the posterior-mean update), matching
 how reconstruction quality is scored per refinement step; the final stage
 uses the ensemble mean.
+
+A stage's sample ensemble is drawn only where a metric reads it: at every
+stage when the problem has an analytic oracle (the moment errors need the
+ensemble mean and covariance), and otherwise at the final stage alone,
+whose mean is the point estimate and whose std is `final_std`.
 """
 
 from __future__ import annotations
@@ -138,7 +143,14 @@ def evaluate_testset(
     psnr_range: float = EvalConfig.psnr_range,
     progress=None,
 ) -> MetricReport:
-    """Fresh test observations through the full inference loop, scored per stage."""
+    """Fresh test observations through the full inference loop, scored per stage.
+
+    Stage s draws `n_samples` from flow s-1 only if a metric reads them:
+    at every stage when the problem has an analytic oracle, else at the
+    final stage alone; stages 1..L of an oracle-free problem are scored
+    from their trajectory point and get NaN moment errors. Each draw has
+    its own stream `rng.child(t).child(2, s)`, so skipping one moves no
+    other draw."""
     if n_test < 1:
         raise ValueError("n_test must be >= 1")
     L = pipeline.n_stages
@@ -152,18 +164,18 @@ def evaluate_testset(
         traj = intermediate_trajectory(pipeline, y, obs_rng.child(1))
         oracle = problem.analytic_posterior(y) if problem.has_analytic_posterior else None
         for s in range(1, L + 2):
-            x_prev, ybar_prev = traj[s - 1]
-            deltas = pipeline.flows[s - 1].sample(ybar_prev, n_samples, obs_rng.child(2, s))
-            ens = PosteriorEnsemble.from_samples(x_prev + deltas, x_prev)
+            mean_err, cov_err = float("nan"), float("nan")
+            if oracle is not None or s == L + 1:
+                x_prev, ybar_prev = traj[s - 1]
+                deltas = pipeline.flows[s - 1].sample(ybar_prev, n_samples, obs_rng.child(2, s))
+                ens = PosteriorEnsemble.from_samples(x_prev + deltas, x_prev)
+                if oracle is not None:
+                    mean_err, cov_err = moment_errors(ens, oracle)
             if s <= L:
                 point = traj[s][0]
             else:
                 point = ens.mean
                 final_stds[t] = ens.std
-            if oracle is not None:
-                mean_err, cov_err = moment_errors(ens, oracle)
-            else:
-                mean_err, cov_err = float("nan"), float("nan")
             ssim_val = float("nan")
             if img_shape is not None:
                 ssim_val = ssim(point.reshape(img_shape), x_true.reshape(img_shape), psnr_range)

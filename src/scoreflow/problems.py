@@ -104,6 +104,10 @@ class LinearGaussianProblem(InverseProblem):
     def replication(cls, x_dim=16, y_dim=64, noise_std=0.1, prior_condition=10.0, seed=2024):
         """The validation configuration: random dense A scaled by 1/sqrt(x_dim),
         random SPD prior covariance with moderate condition number, white noise."""
+        if min(x_dim, y_dim) < 1:
+            raise ValueError(f"x_dim and y_dim must be >= 1, got {x_dim} and {y_dim}")
+        if not (noise_std > 0 and prior_condition >= 1):
+            raise ValueError(f"need noise_std > 0 and prior_condition >= 1, got {noise_std} and {prior_condition}")
         rng = Rng(seed)
         A = rng.child(0).standard_normal((y_dim, x_dim)) / np.sqrt(x_dim)
         Q, _ = np.linalg.qr(rng.child(1).standard_normal((x_dim, x_dim)))
@@ -191,6 +195,8 @@ class NonlinearToyProblem(InverseProblem):
     ):
         if not 1 <= observed_rows <= grid:
             raise ValueError(f"observed_rows must be in [1, {grid}], got {observed_rows}")
+        if not (noise_std > 0 and blur_sigma > 0):
+            raise ValueError(f"need noise_std > 0 and blur_sigma > 0, got {noise_std} and {blur_sigma}")
         self.grid = int(grid)
         self.observed_rows = int(observed_rows)
         self.x_dim = self.grid * self.grid

@@ -185,10 +185,14 @@ class TestBadInputs:
         ypath = tmp_path / "y.txt"
         np.savetxt(ypath, np.asarray(y))
         capsys.readouterr()
-        rc = main([
+        return self._one_error_line(capsys, [
             "infer", "--config", str(cfg), "--bundle", str(bundle),
             "--y", str(ypath), "--out", str(tmp_path / "inf"),
         ])
+
+    @staticmethod
+    def _one_error_line(capsys, argv):
+        rc = main(argv)
         err = capsys.readouterr().err.splitlines()
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error: ")
@@ -245,6 +249,33 @@ class TestBadInputs:
             (bundle / "flow_001.ckpt").write_bytes(save_checkpoint(flow))
 
         assert "scale" in self._infer(tmp_path, capsys, corrupt=corrupt)
+
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_non_positive_sample_count(self, tmp_path, capsys, n):
+        # refused before the bundle is read: this bundle does not exist (exit 2 if it were read)
+        ypath = tmp_path / "y.txt"
+        np.savetxt(ypath, np.zeros(4))
+        line = self._one_error_line(capsys, [
+            "infer", "--config", str(write_cfg(tmp_path)), "--bundle", str(tmp_path / "nope"),
+            "--y", str(ypath), "--out", str(tmp_path / "inf"), "--n-samples", str(n),
+        ])
+        assert "--n-samples" in line
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            ({"kind": "nonlinear_toy", "observed_rows": 0}, "observed_rows must be in [1, 16]"),
+            ({"kind": "linear_gaussian", "x_dim": 0}, "x_dim and y_dim must be >= 1"),
+        ],
+        ids=["toy_observed_rows", "linear_x_dim"],
+    )
+    def test_out_of_range_problem_value(self, tmp_path, capsys, command, problem, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump({"problem": problem}))
+        line = self._one_error_line(capsys, [command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert "problem block" in line and message in line
 
 
 class TestSweep:

@@ -187,6 +187,22 @@ class TestProblemFromConfig:
         assert np.array_equal(a.A, b.A)
         assert np.array_equal(a.A, LinearGaussianProblem.replication().A)
 
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ({"kind": "nonlinear_toy", "observed_rows": 0}, "observed_rows must be in [1, 16]"),
+            ({"kind": "linear_gaussian", "x_dim": 0}, "x_dim and y_dim must be >= 1"),
+            ({"kind": "linear_gaussian", "prior_condition": 0.0}, "prior_condition >= 1"),
+            ({"kind": "nonlinear_toy", "blur_sigma": 0.0}, "blur_sigma > 0"),
+        ],
+        ids=["toy_observed_rows", "linear_x_dim", "linear_prior_condition", "toy_blur_sigma"],
+    )
+    def test_builder_range_errors_are_config_errors(self, block, message):
+        cfg = validate_config({"problem": block})
+        with pytest.raises(ConfigError, match=r"problem block \(\w+\) is invalid: ") as exc:
+            problem_from_config(cfg.problem)
+        assert message in str(exc.value)
+
     def test_train_and_flow_config_extraction(self):
         cfg = validate_config({**MINIMAL, "training": {"lr": 5e-4}, "flow": {"n_blocks": 2}})
         assert cfg.train_config().lr == 5e-4

@@ -491,6 +491,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(bytes(blob))
 
+    @pytest.mark.parametrize("s_max", [0.0, -2.0, np.inf, np.nan])
+    def test_bad_s_max_rejected(self, s_max):
+        blob = bytearray(save_checkpoint(small_flow()))
+        s_max_at = 8 + 5 * 4  # magic, u32 header
+        blob[s_max_at : s_max_at + 8] = np.array([s_max], dtype="<f8").tobytes()
+        with pytest.raises(CheckpointError, match="s_max"):
+            load_checkpoint(bytes(blob))
+
     def test_trailing_bytes_rejected(self):
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(save_checkpoint(small_flow()) + b"\x00")

@@ -3,6 +3,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from scoreflow.flow import CouplingFlow
 from scoreflow.metrics import (
     MetricRecord,
     MetricReport,
@@ -17,8 +18,8 @@ from scoreflow.metrics import (
     write_sweep_csv,
 )
 from scoreflow.numerics import Rng, ShapeError, SpdMatrix
-from scoreflow.pipeline import FlowConfig, PosteriorEnsemble, TrainConfig, train_pipeline
-from scoreflow.problems import AnalyticPosterior, LinearGaussianProblem
+from scoreflow.pipeline import FlowConfig, PosteriorEnsemble, TrainConfig, intermediate_trajectory, train_pipeline
+from scoreflow.problems import AnalyticPosterior, LinearGaussianProblem, NonlinearToyProblem
 
 
 def tiny_problem(seed=1, x_dim=2, y_dim=4):
@@ -209,6 +210,72 @@ class TestEvaluateTestset:
         pipe, _ = train_pipeline(p, 16, 0, FAST_FLOW, FAST_TRAIN, Rng(13))
         with pytest.raises(ValueError):
             evaluate_testset(pipe, p, 0, Rng(14))
+
+
+def every_stage_evaluation(pipeline, problem, n_test, rng, n_samples, psnr_range=2.0):
+    """Reference loop that draws an ensemble at every stage, whether or not a metric reads it."""
+    L = pipeline.n_stages
+    report = MetricReport(n_stages=L + 1)
+    final_stds = np.empty((n_test, problem.x_dim))
+    img_shape = problem.image_shape
+    for t in range(n_test):
+        obs_rng = rng.child(t)
+        x_true = problem.sample_prior(obs_rng.child(0))
+        y = problem.simulate(x_true, obs_rng.child(0, 1))
+        traj = intermediate_trajectory(pipeline, y, obs_rng.child(1))
+        oracle = problem.analytic_posterior(y) if problem.has_analytic_posterior else None
+        for s in range(1, L + 2):
+            x_prev, ybar_prev = traj[s - 1]
+            deltas = pipeline.flows[s - 1].sample(ybar_prev, n_samples, obs_rng.child(2, s))
+            ens = PosteriorEnsemble.from_samples(x_prev + deltas, x_prev)
+            if s <= L:
+                point = traj[s][0]
+            else:
+                point = ens.mean
+                final_stds[t] = ens.std
+            mean_err, cov_err = moment_errors(ens, oracle) if oracle is not None else (float("nan"),) * 2
+            ssim_val = float("nan")
+            if img_shape is not None:
+                ssim_val = ssim(point.reshape(img_shape), x_true.reshape(img_shape), psnr_range)
+            report.records.append(MetricRecord(
+                s, t, mean_err, cov_err, psnr(point, x_true, psnr_range), ssim_val, rmse(point, x_true)
+            ))
+    report.final_std = final_stds
+    return report
+
+
+class TestEnsembleDraws:
+    """Evaluation draws a stage's ensemble only where a metric reads it."""
+
+    N_SAMPLES = 24  # differs from FAST_TRAIN.n_s_infer, so trajectory draws are not counted
+
+    def _counted(self, monkeypatch, problem, n_train, n_test, seed):
+        pipe, _ = train_pipeline(problem, n_train, 2, FAST_FLOW, FAST_TRAIN, Rng(seed))
+        calls = []
+        sample = CouplingFlow.sample
+
+        def counting_sample(flow, cond, n, rng):
+            if n == self.N_SAMPLES:
+                calls.append(pipe.flows.index(flow))
+            return sample(flow, cond, n, rng)
+
+        monkeypatch.setattr(CouplingFlow, "sample", counting_sample)
+        rep = evaluate_testset(pipe, problem, n_test, Rng(seed + 1), n_samples=self.N_SAMPLES)
+        monkeypatch.undo()
+        ref = every_stage_evaluation(pipe, problem, n_test, Rng(seed + 1), self.N_SAMPLES)
+        assert np.array_equal(rep.final_std, ref.final_std)
+        records, ref_records = ([astuple(r) for r in x.records] for x in (rep, ref))
+        assert np.array_equal(records, ref_records, equal_nan=True)
+        return calls
+
+    def test_oracle_free_problem_draws_the_final_stage_alone(self, monkeypatch):
+        toy = NonlinearToyProblem(grid=12, observed_rows=4)
+        calls = self._counted(monkeypatch, toy, 12, 3, 30)
+        assert calls == [2, 2, 2]  # one draw per observation, from the final flow
+
+    def test_oracle_problem_draws_every_stage(self, monkeypatch):
+        calls = self._counted(monkeypatch, tiny_problem(), 16, 3, 31)
+        assert calls == [0, 1, 2] * 3  # L + 1 draws per observation
 
 
 class TestCsvWriters:
