@@ -19,7 +19,6 @@ import csv
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .numerics import Rng, ShapeError
 from .pipeline import (
@@ -51,7 +50,10 @@ def psnr(estimate, truth, data_range: float) -> float:
     return float(20.0 * np.log10(data_range) - 20.0 * np.log10(r))
 
 
-def ssim(estimate, truth, data_range: float, window: int = 11, sigma: float = 1.5,
+SSIM_WINDOW = 11
+
+
+def ssim(estimate, truth, data_range: float, window: int = SSIM_WINDOW, sigma: float = 1.5,
          k1: float = 0.01, k2: float = 0.03) -> float:
     """Structural similarity with a Gaussian window and standard stabilizers.
 
@@ -65,6 +67,8 @@ def ssim(estimate, truth, data_range: float, window: int = 11, sigma: float = 1.
         raise ShapeError(f"shapes disagree: {estimate.shape} vs {truth.shape}")
     if min(estimate.shape) < window:
         raise ShapeError(f"image smaller than ssim window {window}: {estimate.shape}")
+    from scipy.signal import convolve2d  # on first use, so importing scoreflow loads no SciPy
+
     kern = gaussian_kernel_2d(window, sigma)
 
     def filt(img):
@@ -134,6 +138,13 @@ class MetricReport:
         return out
 
 
+def _check_ssim_fits(problem: InverseProblem) -> None:
+    """Refuse, before any work, an image problem whose images are narrower than the SSIM window."""
+    shape = problem.image_shape
+    if shape is not None and min(shape) < SSIM_WINDOW:
+        raise ShapeError(f"image smaller than ssim window {SSIM_WINDOW}: {shape}")
+
+
 def evaluate_testset(
     pipeline: TrainedPipeline,
     problem: InverseProblem,
@@ -153,6 +164,7 @@ def evaluate_testset(
     other draw."""
     if n_test < 1:
         raise ValueError("n_test must be >= 1")
+    _check_ssim_fits(problem)
     L = pipeline.n_stages
     report = MetricReport(n_stages=L + 1)
     final_stds = np.empty((n_test, problem.x_dim))
@@ -211,6 +223,7 @@ def sweep_training_size(
     """Train and evaluate one pipeline per training-set size."""
     if not sizes:
         raise ValueError("sizes must be nonempty")
+    _check_ssim_fits(problem)
     out = {}
     for idx, n_train in enumerate(sizes):
         if progress:

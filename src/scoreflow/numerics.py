@@ -10,7 +10,6 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -116,6 +115,8 @@ class SpdMatrix:
         b = np.asarray(b, dtype=np.float64)
         if b.shape[0] != self.dim:
             raise ShapeError(f"rhs has leading dim {b.shape[0]}, expected {self.dim}")
+        from scipy.linalg import solve_triangular  # on first use, so importing scoreflow loads no SciPy
+
         w = solve_triangular(self.chol, b, lower=True)
         return solve_triangular(self.chol.T, w, lower=False)
 
@@ -127,6 +128,8 @@ class SpdMatrix:
 
     def quad_form(self, v) -> np.ndarray:
         """v^T m^{-1} v, batched over trailing columns of v."""
+        from scipy.linalg import solve_triangular  # on first use, so importing scoreflow loads no SciPy
+
         w = solve_triangular(self.chol, np.asarray(v, dtype=np.float64), lower=True)
         return np.sum(w * w, axis=0)
 

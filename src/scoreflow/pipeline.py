@@ -13,6 +13,8 @@ bundle layout on disk.
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -189,9 +191,14 @@ def infer(pipeline: TrainedPipeline, y, n_samples: int, rng: Rng, n_s: int | Non
 
 
 def save_pipeline(pipeline: TrainedPipeline, out_dir) -> None:
-    """Write a pipeline bundle: manifest plus one checkpoint file per stage."""
+    """Write a pipeline bundle: manifest plus one checkpoint file per stage.
+
+    The bundle is written into a temporary directory beside `out_dir`,
+    which then takes the place of `out_dir`. So a save that fails leaves
+    the previous bundle as it was, no file of an older, longer bundle
+    survives a save, and no temporary directory is left behind."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "n_stages": pipeline.n_stages,
@@ -204,9 +211,23 @@ def save_pipeline(pipeline: TrainedPipeline, out_dir) -> None:
         "problem": pipeline.problem_config,
         "train_config": asdict(pipeline.train_config),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    for j, flow in enumerate(pipeline.flows):
-        (out / f"flow_{j:03d}.ckpt").write_bytes(save_checkpoint(flow))
+    scratch = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    try:
+        new, old = scratch / "new", scratch / "old"
+        new.mkdir()
+        (new / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        for j, flow in enumerate(pipeline.flows):
+            (new / f"flow_{j:03d}.ckpt").write_bytes(save_checkpoint(flow))
+        if out.exists():
+            out.rename(old)
+        try:
+            new.rename(out)
+        except OSError:
+            if old.exists():
+                old.rename(out)
+            raise
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 def load_pipeline(bundle_dir, problem: InverseProblem | None = None) -> TrainedPipeline:

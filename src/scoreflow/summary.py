@@ -140,6 +140,8 @@ def load_dataset(data: bytes, expected_stage: int | None = None) -> FiducialData
         raise DatasetError(f"unsupported dataset version {version}, expected {DATASET_VERSION}")
     if expected_stage is not None and stage != expected_stage:
         raise DatasetError(f"dataset is for stage {stage}, expected stage {expected_stage}")
+    if min(x_dim, y_dim) < 1:
+        raise DatasetError(f"dataset x_dim and y_dim must be at least 1, got {x_dim} and {y_dim}")
     is_val = r.array(n, np.uint8).astype(bool)
     x_true, y, x_fid, dx, ybar = (r.array(n * d, "<f8").reshape(n, d) for d in (x_dim, y_dim, x_dim, x_dim, x_dim))
     r.finish()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+import scoreflow.metrics as sf_metrics
 from scoreflow.cli import main
 from scoreflow.flow import load_checkpoint, save_checkpoint
 from scoreflow.summary import load_dataset
@@ -287,3 +288,34 @@ class TestSweep:
         assert len(sweep) == 2 + 2 * 2  # comment + header + 2 sizes x 2 stages
         assert (out / "sweep_summary_n8.csv").exists()
         assert (out / "sweep_summary_n12.csv").exists()
+
+
+class TestImageSmallerThanSsimWindow:
+    """A toy grid narrower than the SSIM window trains, but evaluate and sweep refuse it before any work."""
+
+    @staticmethod
+    def _cfg(tmp_path):
+        raw = {**TINY, "problem": {"kind": "nonlinear_toy", "grid": 8, "observed_rows": 3}}
+        path = tmp_path / "toy8.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        return path
+
+    @staticmethod
+    def _one_error_line(capsys, argv):
+        capsys.readouterr()
+        assert "ssim window 11" in TestBadInputs._one_error_line(capsys, argv)
+
+    def test_train_succeeds_and_evaluate_refuses(self, tmp_path, capsys, monkeypatch):
+        cfg, out = self._cfg(tmp_path), tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        calls = []
+        monkeypatch.setattr(sf_metrics, "intermediate_trajectory", lambda *a, **k: calls.append(a))
+        self._one_error_line(capsys, ["evaluate", "--config", str(cfg), "--bundle", str(out / "bundle"),
+                                      "--out", str(tmp_path / "ev")])
+        assert calls == []
+
+    def test_sweep_refuses_before_training(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sf_metrics, "train_pipeline", lambda *a, **k: calls.append(a))
+        self._one_error_line(capsys, ["sweep", "--config", str(self._cfg(tmp_path)), "--out", str(tmp_path / "sw")])
+        assert calls == []

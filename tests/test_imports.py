@@ -1,0 +1,70 @@
+"""What a fresh interpreter loads: SciPy is imported by the functions that call it, never at import time.
+
+Each check runs in its own interpreter, since this test process has SciPy loaded already.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+import yaml
+
+import scoreflow
+from scoreflow.config import load_config, problem_from_config
+
+SRC = str(Path(scoreflow.__file__).resolve().parent.parent)
+
+PRELUDE = f"""
+import sys
+sys.path.insert(0, {SRC!r})
+import scoreflow, scoreflow.cli, scoreflow.config, scoreflow.metrics
+from scoreflow.config import load_config, problem_from_config
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+"""
+
+
+def run_fresh(tmp_path, body: str) -> None:
+    proc = subprocess.run([sys.executable, "-c", PRELUDE + body], cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def write_cfg(tmp_path, problem: dict) -> Path:
+    raw = {
+        "problem": problem,
+        "flow": {"n_blocks": 2, "hidden": [8]},
+        "training": {"n_train": 12, "stages": 1, "max_epochs": 2, "patience": 2, "n_s_train": 4, "n_s_infer": 8},
+    }
+    path = tmp_path / f"{problem['kind']}.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return path
+
+
+def test_import_and_set_up_load_no_scipy(tmp_path):
+    lin = write_cfg(tmp_path, {"kind": "linear_gaussian", "x_dim": 2, "y_dim": 4})
+    toy = write_cfg(tmp_path, {"kind": "nonlinear_toy"})
+    run_fresh(tmp_path, f"""
+for path in ({str(lin)!r}, {str(toy)!r}):
+    problem_from_config(load_config(path).problem)
+assert scipy_modules() == [], scipy_modules()
+""")
+
+
+@pytest.mark.parametrize("problem, absent", [
+    ({"kind": "linear_gaussian", "x_dim": 2, "y_dim": 4}, ("scipy.signal", "scipy.ndimage")),
+    ({"kind": "nonlinear_toy"}, ("scipy.signal", "scipy.linalg")),
+], ids=["linear_gaussian", "nonlinear_toy"])
+def test_train_and_infer_load_only_the_scipy_they_call(tmp_path, problem, absent):
+    cfg = write_cfg(tmp_path, problem)
+    y_dim = problem_from_config(load_config(cfg).problem).y_dim
+    (tmp_path / "y.txt").write_text("0.1\n" * y_dim)
+    run_fresh(tmp_path, f"""
+from scoreflow.cli import main
+assert main(["train", "--config", {str(cfg)!r}, "--out", "out"]) == 0
+assert main(["infer", "--config", {str(cfg)!r}, "--bundle", "out/bundle", "--y", "y.txt", "--out", "inf"]) == 0
+loaded = [m for m in scipy_modules() if m.startswith({absent!r})]
+assert loaded == [], loaded
+""")

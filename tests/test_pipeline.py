@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import scoreflow.pipeline as sf_pipeline
 from scoreflow.numerics import Rng, ShapeError, SpdMatrix
 from scoreflow.pipeline import (
     FlowConfig,
@@ -187,3 +188,35 @@ class TestBundle:
         other = tiny_problem(x_dim=3, y_dim=5)
         with pytest.raises(PipelineError, match="dims"):
             load_pipeline(tmp_path / "b", problem=other)
+
+    def test_shorter_bundle_replaces_longer_one(self, tmp_path):
+        p = tiny_problem()
+        long, _ = train_pipeline(p, 12, 3, FAST_FLOW, FAST_TRAIN, Rng(26))
+        save_pipeline(long, tmp_path / "b")
+        short = TrainedPipeline(problem=p, flows=long.flows[:2], seed=26)
+        save_pipeline(short, tmp_path / "b")
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["b"]
+        assert sorted(f.name for f in (tmp_path / "b").iterdir()) == ["flow_000.ckpt", "flow_001.ckpt", "manifest.json"]
+        assert load_pipeline(tmp_path / "b", problem=p).n_stages == 1
+
+    def test_failed_save_keeps_previous_bundle(self, tmp_path, monkeypatch):
+        p = tiny_problem()
+        pipe, _ = train_pipeline(p, 12, 2, FAST_FLOW, FAST_TRAIN, Rng(27))
+        save_pipeline(pipe, tmp_path / "b")
+        before = {f.name: f.read_bytes() for f in (tmp_path / "b").iterdir()}
+        real_save, calls = sf_pipeline.save_checkpoint, []
+
+        def failing_save(flow):
+            calls.append(flow)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real_save(flow)
+
+        monkeypatch.setattr(sf_pipeline, "save_checkpoint", failing_save)
+        other, _ = train_pipeline(p, 12, 2, FAST_FLOW, FAST_TRAIN, Rng(28))
+        with pytest.raises(OSError, match="disk full"):
+            save_pipeline(other, tmp_path / "b")
+        assert len(calls) == 2
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["b"]
+        assert {f.name: f.read_bytes() for f in (tmp_path / "b").iterdir()} == before
+        assert load_pipeline(tmp_path / "b", problem=p).n_stages == 2

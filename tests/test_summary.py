@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from scoreflow.numerics import Rng, SpdMatrix
 from scoreflow.problems import LinearGaussianProblem
 from scoreflow.summary import (
     _KEY_ADVANCE,
+    DATASET_MAGIC,
     DatasetError,
     advance_stage,
     build_stage0,
@@ -229,3 +232,12 @@ class TestSerialization:
         blob[8] = 77
         with pytest.raises(DatasetError, match="version"):
             load_dataset(bytes(blob))
+
+    @pytest.mark.parametrize("x_dim, y_dim", [(0, 2), (2, 0)], ids=["x_dim", "y_dim"])
+    def test_zero_width_records(self, x_dim, y_dim):
+        # a payload consistent with its header, whose 3 records would each be empty in one field
+        n = 3
+        blob = DATASET_MAGIC + struct.pack("<IIIII", 1, 0, n, x_dim, y_dim) + bytes(n)
+        blob += bytes(8 * n * (4 * x_dim + y_dim))
+        with pytest.raises(DatasetError, match="x_dim and y_dim must be at least 1"):
+            load_dataset(blob)
