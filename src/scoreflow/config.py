@@ -142,14 +142,15 @@ def _validate_values(cfg: RunConfig) -> None:
     for block, key in counts + [("eval", "n_test"), ("eval", "n_samples"), ("flow", "n_blocks")]:
         if getattr(cfg, block)[key] < 1:
             raise ConfigError(f"{block}.{key} must be >= 1, got {getattr(cfg, block)[key]}")
+    if any(h < 1 for h in cfg.flow["hidden"]):
+        raise ConfigError(f"flow.hidden widths must be >= 1, got {list(cfg.flow['hidden'])}")
+    for block, key in (("flow", "s_max"), ("training", "lr"), ("eval", "psnr_range")):
+        if getattr(cfg, block)[key] <= 0:
+            raise ConfigError(f"{block}.{key} must be positive, got {getattr(cfg, block)[key]}")
     if t["stages"] < 0:
         raise ConfigError(f"training.stages must be >= 0, got {t['stages']}")
     if not 0.0 <= t["val_fraction"] < 1.0:
         raise ConfigError(f"training.val_fraction must be in [0, 1), got {t['val_fraction']}")
-    if t["lr"] <= 0:
-        raise ConfigError(f"training.lr must be positive, got {t['lr']}")
-    if cfg.eval["psnr_range"] <= 0:
-        raise ConfigError(f"eval.psnr_range must be positive, got {cfg.eval['psnr_range']}")
     sizes = cfg.sweep["sizes"]
     if not sizes or any(s < 1 for s in sizes):
         raise ConfigError(f"sweep.sizes must be a nonempty list of positive ints, got {sizes}")

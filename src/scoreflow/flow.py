@@ -21,6 +21,13 @@ mean of 0.5*||z||^2 - log_det. Note this drops the (d/2)*log(2*pi) base
 density constant, which does not move the minimizer; `log_prob` includes
 it, so exp(log_prob) is a normalized density.
 
+Every weight and bias of a flow is a view into one contiguous float64
+vector, `CouplingFlow.params`, in checkpoint order: block by block, and
+within a block's net W0, b0, W1, b1, ... with each W row-major (fan_in,
+fan_out). Gradients come back as one vector in the same layout, so an
+optimizer step, a finiteness check or a best-weight snapshot is one
+vector operation.
+
 Gradients are computed by hand-written reverse-mode passes; there is no
 autodiff framework underneath, which keeps checkpoints and training
 bitwise reproducible.
@@ -28,6 +35,7 @@ bitwise reproducible.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -77,33 +85,14 @@ class ConditioningNet:
 
     Its input is the kept half of x (`x_in` columns) followed by the
     normalized conditioner, so the first weight matrix holds the x rows
-    first and the condition rows after them. The output layer is
-    zero-initialized so a fresh flow starts as the identity coupling (unit
-    scale, zero shift).
+    first and the condition rows after them. `weights` and `biases` are
+    views into the flow's parameter vector.
     """
 
-    def __init__(self, x_in: int, cond_dim: int, hidden: tuple[int, ...], out_dim: int, rng: Rng | None):
+    def __init__(self, x_in: int, weights: list[np.ndarray], biases: list[np.ndarray]):
         self.x_in = x_in
-        self.hidden = tuple(hidden)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        widths = [x_in + cond_dim, *hidden, out_dim]
-        for i in range(len(widths) - 1):
-            fan_in, fan_out = widths[i], widths[i + 1]
-            last = i == len(widths) - 2
-            if last or rng is None:
-                W = np.zeros((fan_in, fan_out))
-            else:
-                W = rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)
-            self.weights.append(W)
-            self.biases.append(np.zeros(fan_out))
-
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for W, b in zip(self.weights, self.biases):
-            out.append(W)
-            out.append(b)
-        return out
+        self.weights = weights
+        self.biases = biases
 
     def condition(self, cn: np.ndarray) -> np.ndarray:
         """The conditioner's share of the first pre-activation, bias included."""
@@ -125,22 +114,20 @@ class ConditioningNet:
             h += b
         return h, cache
 
-    def backward(self, dout: np.ndarray, cache, cn: np.ndarray):
-        """Backprop `dout` through the net; returns (d kept half, grads).
-
-        `cn` is the per-row conditioner the forward pass's term came from.
-        `grads` is aligned with `parameters()`.
-        """
-        grads = [None] * (2 * len(self.weights))
+    def backward(self, dout: np.ndarray, cache, cn: np.ndarray, grad_weights, grad_biases):
+        """Backprop `dout` through the net, writing the parameter gradients into
+        the views `grad_weights` and `grad_biases`; returns d kept half. `cn`
+        is the per-row conditioner the forward pass's term came from."""
         dh = dout
         for i in range(len(self.weights) - 1, 0, -1):
             act = cache[i]
-            grads[2 * i] = act.T @ dh
-            grads[2 * i + 1] = dh.sum(axis=0)
+            np.matmul(act.T, dh, out=grad_weights[i])
+            np.sum(dh, axis=0, out=grad_biases[i])
             dh = (dh @ self.weights[i].T) * (1.0 - act * act)
-        grads[0] = np.concatenate([cache[0].T @ dh, cn.T @ dh])
-        grads[1] = dh.sum(axis=0)
-        return dh @ self.weights[0][: self.x_in].T, grads
+        np.matmul(cache[0].T, dh, out=grad_weights[0][: self.x_in])
+        np.matmul(cn.T, dh, out=grad_weights[0][self.x_in :])
+        np.sum(dh, axis=0, out=grad_biases[0])
+        return dh @ self.weights[0][: self.x_in].T
 
 
 def transformed_halves(x_dim: int, n_blocks: int) -> list[int]:
@@ -151,6 +138,13 @@ def transformed_halves(x_dim: int, n_blocks: int) -> list[int]:
 def half_widths(x_dim: int) -> tuple[int, int]:
     """Widths of (lo, hi)."""
     return x_dim // 2, x_dim - x_dim // 2
+
+
+def net_shapes(x_dim: int, cond_dim: int, hidden, changed: int) -> list[tuple[int, ...]]:
+    """Shapes of W0, b0, W1, b1, ... of the net of a block that transforms half `changed`."""
+    widths = half_widths(x_dim)
+    w = [widths[1 - changed] + cond_dim, *hidden, 2 * widths[changed]]
+    return [shape for fan_in, fan_out in zip(w, w[1:]) for shape in ((fan_in, fan_out), (fan_out,))]
 
 
 def alternating_masks(x_dim: int, n_blocks: int) -> list[np.ndarray]:
@@ -174,12 +168,17 @@ class CouplingFlow:
     the log-det.
     """
 
-    def __init__(self, x_dim, cond_dim, nets, s_max=FlowConfig.s_max):
+    def __init__(self, x_dim, cond_dim, n_blocks, hidden, s_max):
+        """A flow with every parameter zero; see `create` for a trainable start."""
         self.x_dim = int(x_dim)
         self.cond_dim = int(cond_dim)
-        self.nets = list(nets)
+        self.hidden = tuple(hidden)
         self.s_max = float(s_max)
-        self.changed = transformed_halves(self.x_dim, len(self.nets))
+        self.changed = transformed_halves(self.x_dim, n_blocks)
+        self._shapes = [s for c in self.changed for s in net_shapes(self.x_dim, self.cond_dim, self.hidden, c)]
+        self.params = np.zeros(sum(math.prod(s) for s in self._shapes))
+        widths = half_widths(self.x_dim)
+        self.nets = [ConditioningNet(widths[1 - c], *views) for c, views in zip(self.changed, self.views(self.params))]
         self.x_mean = np.zeros(self.x_dim)
         self.x_scale = np.ones(self.x_dim)
         self.cond_mean = np.zeros(self.cond_dim)
@@ -188,12 +187,22 @@ class CouplingFlow:
     @classmethod
     def create(cls, x_dim, cond_dim, rng: Rng, n_blocks=FlowConfig.n_blocks, hidden=FlowConfig.hidden,
                s_max=FlowConfig.s_max):
-        widths = half_widths(x_dim)
-        nets = []
-        for k, changed in enumerate(transformed_halves(x_dim, n_blocks)):
-            net_rng = rng.child(k) if rng is not None else None
-            nets.append(ConditioningNet(widths[1 - changed], cond_dim, hidden, 2 * widths[changed], net_rng))
-        return cls(x_dim, cond_dim, nets, s_max=s_max)
+        """A flow to train: block k draws its hidden weights from N(0, 1/fan_in)
+        with `rng.child(k)`. Biases and output layers stay zero, so the flow
+        starts as the identity coupling (unit scale, zero shift)."""
+        flow = cls(x_dim, cond_dim, n_blocks, hidden, s_max)
+        for k, net in enumerate(flow.nets):
+            net_rng = rng.child(k)
+            for W in net.weights[:-1]:
+                W[...] = net_rng.standard_normal(W.shape) / np.sqrt(len(W))
+        return flow
+
+    def views(self, vec: np.ndarray) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
+        """Per block, (weights, biases) views into `vec`, laid out like `params`."""
+        ends = np.cumsum([math.prod(s) for s in self._shapes])[:-1]
+        arrays = [a.reshape(s) for a, s in zip(np.split(vec, ends), self._shapes)]
+        n = 2 * len(self.hidden) + 2  # arrays per block
+        return [(arrays[k : k + n : 2], arrays[k + 1 : k + n : 2]) for k in range(0, len(arrays), n)]
 
     def set_normalization(self, x_mean, x_scale, cond_mean, cond_scale):
         for name, v, d in (
@@ -220,12 +229,6 @@ class CouplingFlow:
             cond.mean(axis=0),
             np.maximum(cond.std(axis=0), floor),
         )
-
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for net in self.nets:
-            out.extend(net.parameters())
-        return out
 
     def _check_batch(self, x, cond, shared_cond=False):
         """Validated float arrays; `shared_cond` also admits a single cond row."""
@@ -322,23 +325,25 @@ class CouplingFlow:
         return -0.5 * np.sum(z * z, axis=1) - 0.5 * self.x_dim * LOG_2PI + log_det
 
     def nll_loss_and_grads(self, x, cond):
-        """Loss plus gradients w.r.t. every net parameter (hand-written backprop)."""
+        """Loss plus its gradient w.r.t. `params`, as one vector of the same
+        layout (hand-written backprop)."""
         z, log_det, cn, caches = self._forward_impl(x, cond, want_cache=True)
         batch = z.shape[0]
         loss = float(np.mean(0.5 * np.sum(z * z, axis=1) - log_det))
         dhalves = self._split(z / batch)
         # d(loss)/d(log_det contribution) is -1/batch for every sample and block
         dld = np.full((batch, 1), -1.0 / batch)
-        block_grads = [None] * len(self.nets)
+        grad = np.empty_like(self.params)  # every element is written by a net's backward
+        grad_views = self.views(grad)
         for k in range(len(self.nets) - 1, -1, -1):
             i = self.changed[k]
             b, s, es, net_cache = caches[k]
             db2 = dhalves[i]
             du = (db2 * b * es + dld) * (1.0 - (s / self.s_max) ** 2)
-            dkept, block_grads[k] = self.nets[k].backward(np.concatenate([du, db2], axis=1), net_cache, cn)
+            dkept = self.nets[k].backward(np.concatenate([du, db2], axis=1), net_cache, cn, *grad_views[k])
             dhalves[1 - i] = dhalves[1 - i] + dkept
             dhalves[i] = db2 * es
-        return loss, [g for grads in block_grads for g in grads]
+        return loss, grad
 
     def sample(self, cond_vec, n: int, rng: Rng) -> np.ndarray:
         """n conditional draws via the inverse flow on standard-normal latents."""
@@ -357,9 +362,14 @@ class CouplingFlow:
 
 
 class Adam:
-    """Adaptive-moment optimizer over a fixed parameter list (updated in place)."""
+    """Adaptive-moment optimizer over a parameter vector, updated in place.
 
-    def __init__(self, params: list[np.ndarray], lr=TrainConfig.lr, beta1=0.9, beta2=0.999, eps=1e-8,
+    A step works through two scratch vectors it owns, so it allocates
+    nothing parameter-sized. Each expression keeps its association (for
+    example ((1-b2)*g)*g), which the bitwise training tests pin down.
+    """
+
+    def __init__(self, params: np.ndarray, lr=TrainConfig.lr, beta1=0.9, beta2=0.999, eps=1e-8,
                  weight_decay=TrainConfig.weight_decay):
         self.params = params
         self.lr = lr
@@ -368,19 +378,25 @@ class Adam:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._num = np.empty_like(params)
+        self._den = np.empty_like(params)
 
-    def step(self, grads: list[np.ndarray]):
+    def step(self, grad: np.ndarray):
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            p -= self.lr * (self.m[i] / b1t) / (np.sqrt(self.v[i] / b2t) + self.eps)
-            if self.weight_decay:
-                p -= self.lr * self.weight_decay * p
+        p, m, v, num, den = self.params, self.m, self.v, self._num, self._den
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, grad, out=num)
+        v *= self.beta2
+        v += np.multiply(np.multiply(1.0 - self.beta2, grad, out=num), grad, out=num)
+        np.sqrt(np.divide(v, b2t, out=den), out=den)
+        den += self.eps
+        p -= np.divide(np.multiply(self.lr, np.divide(m, b1t, out=num), out=num), den, out=num)
+        if self.weight_decay:
+            p -= np.multiply(self.lr * self.weight_decay, p, out=num)
 
 
 def train_step(flow: CouplingFlow, opt: Adam, x, cond):
@@ -388,10 +404,10 @@ def train_step(flow: CouplingFlow, opt: Adam, x, cond):
 
     Non-finite gradients skip the step and report stepped=False.
     """
-    loss, grads = flow.nll_loss_and_grads(x, cond)
-    if not np.isfinite(loss) or any(not np.all(np.isfinite(g)) for g in grads):
+    loss, grad = flow.nll_loss_and_grads(x, cond)
+    if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
         return loss, False
-    opt.step(grads)
+    opt.step(grad)
     return loss, True
 
 
@@ -421,10 +437,10 @@ def train_flow(
     n = x_train.shape[0]
     if n < 1:
         raise ValueError("training set is empty")
-    opt = Adam(flow.parameters(), lr=lr, weight_decay=weight_decay)
+    opt = Adam(flow.params, lr=lr, weight_decay=weight_decay)
     have_val = x_val is not None and len(x_val) > 0
     best_val = np.inf
-    best_weights = None
+    best = None
     since_best = 0
     history = []
     for epoch in range(max_epochs):
@@ -439,7 +455,7 @@ def train_flow(
         history.append((epoch, train_loss, val_loss))
         if val_loss < best_val - 1e-6:
             best_val = val_loss
-            best_weights = [p.copy() for p in flow.parameters()]
+            best = flow.params.copy()
             since_best = 0
         else:
             since_best += 1
@@ -447,17 +463,13 @@ def train_flow(
                 break
             if since_best % LR_PATIENCE == 0 and opt.lr > MIN_LR:
                 # restart from the best weights seen at a lower learning rate
-                if best_weights is not None:
-                    for p, w in zip(flow.parameters(), best_weights):
-                        p[...] = w
-                opt = Adam(
-                    flow.parameters(),
-                    lr=max(opt.lr * LR_FACTOR, MIN_LR),
-                    weight_decay=weight_decay,
-                )
-    if best_weights is not None:
-        for p, w in zip(flow.parameters(), best_weights):
-            p[...] = w
+                if best is not None:
+                    flow.params[...] = best
+                lr = max(opt.lr * LR_FACTOR, MIN_LR)
+                opt = None  # frees the old moment and scratch vectors before the new ones are allocated
+                opt = Adam(flow.params, lr=lr, weight_decay=weight_decay)
+    if best is not None:
+        flow.params[...] = best
     return history
 
 
@@ -467,9 +479,8 @@ def save_checkpoint(flow: CouplingFlow) -> bytes:
     Layout (little-endian): magic "SFLOWCKP" | u32 version | u32 x_dim |
     u32 cond_dim | u32 n_blocks | u32 n_hidden | f64 s_max | u32 hidden
     widths | masks as n_blocks*x_dim bytes | x_mean, x_scale, cond_mean,
-    cond_scale as f64 vectors | weight tensors as f64 in parameter order.
+    cond_scale as f64 vectors | the parameter vector as f64.
     """
-    hidden = flow.nets[0].hidden if flow.nets else ()
     parts = [
         CHECKPOINT_MAGIC,
         struct.pack(
@@ -478,17 +489,15 @@ def save_checkpoint(flow: CouplingFlow) -> bytes:
             flow.x_dim,
             flow.cond_dim,
             len(flow.nets),
-            len(hidden),
+            len(flow.hidden),
         ),
         struct.pack("<d", flow.s_max),
-        struct.pack(f"<{len(hidden)}I", *hidden),
+        struct.pack(f"<{len(flow.hidden)}I", *flow.hidden),
     ]
     for m in alternating_masks(flow.x_dim, len(flow.nets)):
         parts.append(m.astype(np.uint8).tobytes())
-    for v in (flow.x_mean, flow.x_scale, flow.cond_mean, flow.cond_scale):
+    for v in (flow.x_mean, flow.x_scale, flow.cond_mean, flow.cond_scale, flow.params):
         parts.append(np.ascontiguousarray(v, dtype="<f8").tobytes())
-    for p in flow.parameters():
-        parts.append(np.ascontiguousarray(p, dtype="<f8").tobytes())
     return b"".join(parts)
 
 
@@ -517,17 +526,9 @@ def load_checkpoint(data: bytes, expected_x_dim=None, expected_cond_dim=None) ->
         if not np.array_equal(r.array(x_dim, np.uint8), m):
             raise CheckpointError(f"checkpoint mask of block {k} is not the alternating half layout")
     norms = [r.array(d, "<f8") for d in (x_dim, x_dim, cond_dim, cond_dim)]
-
-    widths = half_widths(x_dim)
-    nets = []
-    for changed in transformed_halves(x_dim, n_blocks):
-        net = ConditioningNet(widths[1 - changed], cond_dim, hidden, 2 * widths[changed], rng=None)
-        for i, W in enumerate(net.weights):
-            net.weights[i] = r.array(W.size, "<f8").reshape(W.shape)
-            net.biases[i] = r.array(W.shape[1], "<f8")
-        nets.append(net)
-
-    out = CouplingFlow(x_dim, cond_dim, nets, s_max=s_max)
+    out = CouplingFlow(x_dim, cond_dim, n_blocks, hidden, s_max)
+    # the exact length check makes the parameter vector the payload's tail; copy it in once
+    out.params[...] = np.frombuffer(data, "<f8", out.params.size, len(data) - out.params.nbytes)
     try:
         out.set_normalization(*norms)
     except ValueError as exc:
@@ -537,11 +538,9 @@ def load_checkpoint(data: bytes, expected_x_dim=None, expected_cond_dim=None) ->
 
 def _checkpoint_length(x_dim: int, cond_dim: int, n_blocks: int, hidden) -> int:
     """Byte length `save_checkpoint` writes for this header, in closed form."""
-    widths = half_widths(x_dim)
     n_hi = n_blocks if x_dim == 1 else (n_blocks + 1) // 2
     floats = 2 * x_dim + 2 * cond_dim
     for changed, count in ((1, n_hi), (0, n_blocks - n_hi)):
-        w = [widths[1 - changed] + cond_dim, *hidden, 2 * widths[changed]]
-        floats += count * sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(w, w[1:]))
+        floats += count * sum(math.prod(s) for s in net_shapes(x_dim, cond_dim, hidden, changed))
     header = len(CHECKPOINT_MAGIC) + 5 * 4 + 8 + 4 * len(hidden)
     return header + n_blocks * x_dim + 8 * floats

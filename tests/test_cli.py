@@ -278,6 +278,19 @@ class TestBadInputs:
         line = self._one_error_line(capsys, [command, "--config", str(path), "--out", str(tmp_path / "o")])
         assert "problem block" in line and message in line
 
+    @pytest.mark.parametrize(
+        "flow, message",
+        [({"hidden": [-5]}, "flow.hidden"), ({"hidden": [0]}, "flow.hidden"),
+         ({"s_max": -1.0}, "flow.s_max"), ({"s_max": 0.0}, "flow.s_max")],
+        ids=["hidden_negative", "hidden_zero", "s_max_negative", "s_max_zero"],
+    )
+    def test_out_of_range_flow_value(self, tmp_path, capsys, flow, message):
+        out = tmp_path / "out"
+        line = self._one_error_line(capsys, ["train", "--config", str(write_cfg(tmp_path, {"flow": flow})),
+                                             "--out", str(out)])
+        assert message in line
+        assert not (out / "bundle").exists()
+
 
 class TestSweep:
     def test_sweep_outputs(self, tmp_path):

@@ -85,6 +85,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="sizes"):
             validate_config({**MINIMAL, "sweep": {"sizes": []}})
 
+    @pytest.mark.parametrize("hidden", [[-5], [0], [64, 0]])
+    def test_hidden_widths_must_be_positive(self, hidden):
+        with pytest.raises(ConfigError, match=r"flow\.hidden widths must be >= 1"):
+            validate_config({**MINIMAL, "flow": {"hidden": hidden}})
+
+    def test_empty_hidden_is_a_linear_conditioner(self):
+        assert validate_config({**MINIMAL, "flow": {"hidden": []}}).flow_config().hidden == ()
+
+    @pytest.mark.parametrize("s_max", [0.0, -1.0, 0])
+    def test_s_max_must_be_positive(self, s_max):
+        with pytest.raises(ConfigError, match=r"flow\.s_max must be positive"):
+            validate_config({**MINIMAL, "flow": {"s_max": s_max}})
+
     @pytest.mark.parametrize(
         "raw, key",
         [

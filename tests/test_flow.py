@@ -1,9 +1,13 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from scoreflow.flow import (
+    LR_FACTOR,
+    LR_PATIENCE,
+    MIN_LR,
     Adam,
     CheckpointError,
     CouplingFlow,
@@ -21,27 +25,26 @@ def small_flow(x_dim=3, cond_dim=2, n_blocks=2, hidden=(8, 8), seed=7, randomize
     rng = Rng(seed)
     flow = CouplingFlow.create(x_dim, cond_dim, rng, n_blocks=n_blocks, hidden=hidden)
     if randomize:
-        for p in flow.parameters():
-            p += randomize * rng.standard_normal(p.shape)
+        flow.params += randomize * rng.standard_normal(flow.params.size)
     return flow
 
 
+def arrays(flow, vec):
+    """`vec`, laid out like `params`, as its W0, b0, W1, b1, ... views, block by block."""
+    return [a for ws, bs in flow.views(vec) for pair in zip(ws, bs) for a in pair]
+
+
 def fd_gradients(flow, x, cond, h=1e-5):
-    grads = []
-    for p in flow.parameters():
-        g = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            old = p[idx]
-            p[idx] = old + h
-            lp = flow.nll_loss(x, cond)
-            p[idx] = old - h
-            lm = flow.nll_loss(x, cond)
-            p[idx] = old
-            g[idx] = (lp - lm) / (2 * h)
-        grads.append(g)
-    return grads
+    """Central differences of the loss in each element of `params`."""
+    grad = np.zeros_like(flow.params)
+    for j, old in enumerate(flow.params.copy()):
+        flow.params[j] = old + h
+        lp = flow.nll_loss(x, cond)
+        flow.params[j] = old - h
+        lm = flow.nll_loss(x, cond)
+        flow.params[j] = old
+        grad[j] = (lp - lm) / (2 * h)
+    return grad
 
 
 def fd_log_det(flow, x_row, cond_row, h=1e-6):
@@ -119,7 +122,7 @@ class TestInverse:
         flow = small_flow(x_dim=2, cond_dim=1, n_blocks=1, hidden=(6,), seed=13)
         z = np.array([[0.9, -1.4]])
         c = np.array([[0.25]])
-        W0, b0, W1, b1 = flow.nets[0].parameters()
+        (W0, W1), (b0, b1) = flow.nets[0].weights, flow.nets[0].biases
         raw = np.tanh(np.concatenate([z[:, :1], c], axis=1) @ W0 + b0) @ W1 + b1
         s = flow._squash(raw[:, :1])
         t = raw[:, 1:]
@@ -250,12 +253,13 @@ class TestMatchesMaskReference:
         xr, ld_i = flow.inverse(z, c)
         xr_ref, ld_i_ref = inverse_reference(flow, z, c)
         assert rel_err(xr, xr_ref) <= 1e-12 and rel_err(ld_i, ld_i_ref) <= 1e-12
-        loss, grads = flow.nll_loss_and_grads(x, c)
+        loss, grad = flow.nll_loss_and_grads(x, c)
         loss_ref, grads_ref = grads_reference(flow, x, c)
         assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
-        assert len(grads) == len(grads_ref) == len(flow.parameters())
-        for g, g_ref, p in zip(grads, grads_ref, flow.parameters()):
-            assert g.shape == p.shape
+        assert grad.shape == flow.params.shape
+        assert len(arrays(flow, grad)) == len(grads_ref)
+        for g, g_ref in zip(arrays(flow, grad), grads_ref):
+            assert g.shape == g_ref.shape
             assert rel_err(g, g_ref) <= 1e-12
 
     @pytest.mark.parametrize("x_dim", [1, 3, 16])
@@ -307,17 +311,16 @@ class TestNllLoss:
         for point_seed in (1, 2, 3):
             flow = small_flow(seed=point_seed, randomize=0.4)
             flow.set_normalization([0.0, 0.1, -0.1], [1.2, 0.9, 1.4], np.zeros(2), np.ones(2))
-            _, grads = flow.nll_loss_and_grads(x, c)
+            _, grad = flow.nll_loss_and_grads(x, c)
             fd = fd_gradients(flow, x, c)
-            for g, gf in zip(grads, fd):
+            for g, gf in zip(arrays(flow, grad), arrays(flow, fd)):
                 rel = np.linalg.norm(g - gf) / (np.linalg.norm(gf) + 1e-10)
                 assert rel <= 1e-4
 
     def test_density_normalizes_in_1d(self):
         rng = Rng(23)
         flow = CouplingFlow.create(1, 1, rng, n_blocks=2, hidden=(8,))
-        for p in flow.parameters():
-            p += 0.2 * rng.standard_normal(p.shape)
+        flow.params += 0.2 * rng.standard_normal(flow.params.size)
         c = np.zeros((1, 1))
         grid = np.linspace(-8.0, 8.0, 4001)
         logp = np.array([flow.log_prob(np.array([[g]]), c)[0] for g in grid])
@@ -336,20 +339,19 @@ class TestTrainStep:
     def test_zero_learning_rate_leaves_weights(self):
         flow = small_flow(x_dim=2, cond_dim=2, seed=5)
         x, c = self._batch()
-        before = [p.copy() for p in flow.parameters()]
-        opt = Adam(flow.parameters(), lr=0.0)
+        before = flow.params.copy()
+        opt = Adam(flow.params, lr=0.0)
         loss, stepped = train_step(flow, opt, x, c)
         assert stepped
         assert np.isfinite(loss)
-        for p, b in zip(flow.parameters(), before):
-            assert np.array_equal(p, b)
+        assert np.array_equal(flow.params, before)
 
     def test_loss_decreases_over_repeated_batches(self):
         flow = small_flow(x_dim=2, cond_dim=2, n_blocks=4, hidden=(16, 16),
                           seed=6, randomize=0.0)
         x, c = self._batch(n=128)
         flow.fit_normalization(x, c)
-        opt = Adam(flow.parameters(), lr=1e-3)
+        opt = Adam(flow.params, lr=1e-3)
         losses = [train_step(flow, opt, x, c)[0] for _ in range(500)]
         for start in (0, 100, 200):
             assert losses[start + 100] < losses[start] - 1e-6
@@ -357,19 +359,127 @@ class TestTrainStep:
     def test_gradient_is_descent_direction(self):
         flow = small_flow(x_dim=2, cond_dim=2, seed=8)
         x, c = self._batch(n=32, seed=9)
-        loss0, grads = flow.nll_loss_and_grads(x, c)
-        lr = 1e-4
-        for p, g in zip(flow.parameters(), grads):
-            p -= lr * g
+        loss0, grad = flow.nll_loss_and_grads(x, c)
+        flow.params -= 1e-4 * grad
         assert flow.nll_loss(x, c) < loss0
 
     def test_nonfinite_gradients_skip_step(self):
         flow = small_flow(x_dim=2, cond_dim=2, seed=10)
         flow.nets[0].weights[0][0, 0] = np.nan
-        opt = Adam(flow.parameters(), lr=1e-3)
+        opt = Adam(flow.params, lr=1e-3)
         x, c = self._batch(n=8)
         with pytest.raises(FloatingPointError):
             train_step(flow, opt, x, c)
+
+
+class TestParameterVector:
+    def test_net_arrays_are_views_in_checkpoint_order(self):
+        flow = small_flow(x_dim=5, cond_dim=2, n_blocks=3, hidden=(4, 6))
+        nets = [a for net in flow.nets for W, b in zip(net.weights, net.biases) for a in (W, b)]
+        assert all(np.shares_memory(a, flow.params) for a in nets)
+        assert np.array_equal(np.concatenate([a.ravel() for a in nets]), flow.params)
+        assert save_checkpoint(flow).endswith(flow.params.astype("<f8").tobytes())
+
+    def test_adam_step_allocates_less_than_the_parameters(self):
+        # a toy-sized flow (x_dim 256, default widths): the step works in place
+        flow = CouplingFlow.create(256, 256, Rng(0))
+        rng = Rng(1)
+        _, grad = flow.nll_loss_and_grads(rng.standard_normal((8, 256)), rng.standard_normal((8, 256)))
+        opt = Adam(flow.params, weight_decay=1e-3)
+        tracemalloc.start()
+        try:
+            opt.step(grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < flow.params.nbytes
+
+
+class AdamReference:
+    """Adam over a list of arrays, one at a time: the bitwise reference for `Adam`."""
+
+    def __init__(self, params, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.weight_decay = params, lr, weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, grads):
+        self.t += 1
+        b1t = 1.0 - self.beta1**self.t
+        b2t = 1.0 - self.beta2**self.t
+        for i, (p, g) in enumerate(zip(self.params, grads)):
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            p -= self.lr * (self.m[i] / b1t) / (np.sqrt(self.v[i] / b2t) + self.eps)
+            if self.weight_decay:
+                p -= self.lr * self.weight_decay * p
+
+
+def train_flow_reference(flow, x_train, cond_train, x_val, cond_val, rng, lr, batch_size, max_epochs, patience,
+                         weight_decay):
+    """`train_flow` with a per-array optimizer, finiteness check and best-weight copy and restore."""
+    params = arrays(flow, flow.params)
+    opt = AdamReference(params, lr, weight_decay)
+    best_val, best_weights, since_best, history = np.inf, None, 0, []
+    for epoch in range(max_epochs):
+        order = rng.child(epoch).permutation(len(x_train))
+        losses = []
+        for start in range(0, len(x_train), batch_size):
+            idx = order[start : start + batch_size]
+            loss, grad = flow.nll_loss_and_grads(x_train[idx], cond_train[idx])
+            grads = arrays(flow, grad)
+            if np.isfinite(loss) and all(np.all(np.isfinite(g)) for g in grads):
+                opt.step(grads)
+            losses.append(loss)
+        val_loss = flow.nll_loss(x_val, cond_val)
+        history.append((epoch, float(np.mean(losses)), val_loss))
+        if val_loss < best_val - 1e-6:
+            best_val, since_best = val_loss, 0
+            best_weights = [p.copy() for p in params]
+        else:
+            since_best += 1
+            if since_best >= patience:
+                break
+            if since_best % LR_PATIENCE == 0 and opt.lr > MIN_LR:
+                for p, w in zip(params, best_weights):
+                    p[...] = w
+                opt = AdamReference(params, max(opt.lr * LR_FACTOR, MIN_LR), weight_decay)
+    for p, w in zip(params, best_weights):
+        p[...] = w
+    return history
+
+
+def lr_restarts(history):
+    """Learning-rate restarts `train_flow` made, by its own plateau rule."""
+    best, since, restarts = np.inf, 0, 0
+    for _, _, val in history:
+        if val < best - 1e-6:
+            best, since = val, 0
+        else:
+            since += 1
+            restarts += since % LR_PATIENCE == 0
+    return restarts
+
+
+class TestTrainingMatchesPerArrayReference:
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_bitwise(self, weight_decay):
+        rng = Rng(50)
+        c = rng.standard_normal((200, 2))
+        x = np.tanh(c @ rng.standard_normal((2, 3))) + 0.3 * rng.standard_normal((200, 3))
+        flows = [CouplingFlow.create(3, 2, Rng(51), n_blocks=3, hidden=(8, 8)) for _ in range(2)]
+        for flow in flows:
+            flow.fit_normalization(x, c)
+        start = flows[0].params.copy()
+        data = (x[:160], c[:160], x[160:], c[160:], Rng(52))
+        kw = dict(lr=3e-2, batch_size=32, max_epochs=60, patience=35, weight_decay=weight_decay)
+        history = train_flow(flows[0], *data, **kw)
+        assert history == train_flow_reference(flows[1], *data, **kw)
+        assert lr_restarts(history) >= 1
+        assert not np.array_equal(flows[0].params, start)
+        assert np.array_equal(flows[0].params, flows[1].params)
 
 
 class TestSampling:
@@ -476,6 +586,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="mask of block 1"):
             load_checkpoint(bytes(blob))
 
+    @staticmethod
+    def _forbid_nets(monkeypatch):
+        def no_nets(*args, **kwargs):
+            raise AssertionError("ConditioningNet built before the payload length was checked")
+
+        monkeypatch.setattr("scoreflow.flow.ConditioningNet", no_nets)
+
     def test_length_checked_before_nets_are_built(self, monkeypatch):
         # a short payload whose header claims two 4000-wide hidden layers
         # (about 130 MB of weights per block) is refused from its length
@@ -483,11 +600,16 @@ class TestCheckpoint:
         hidden_at = 8 + 5 * 4 + 8  # magic, u32 header, s_max
         assert blob[hidden_at : hidden_at + 8] == np.array([8, 8], dtype="<u4").tobytes()
         blob[hidden_at : hidden_at + 8] = np.array([4000, 4000], dtype="<u4").tobytes()
+        self._forbid_nets(monkeypatch)
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(bytes(blob))
 
-        def no_nets(*args, **kwargs):
-            raise AssertionError("ConditioningNet built before the payload length was checked")
-
-        monkeypatch.setattr("scoreflow.flow.ConditioningNet", no_nets)
+    def test_huge_block_count_refused_before_nets_are_built(self, monkeypatch):
+        blob = bytearray(save_checkpoint(small_flow(n_blocks=2)))
+        n_blocks_at = 8 + 3 * 4  # magic, version, x_dim, cond_dim
+        assert blob[n_blocks_at : n_blocks_at + 4] == np.array([2], dtype="<u4").tobytes()
+        blob[n_blocks_at : n_blocks_at + 4] = np.array([2**32 - 1], dtype="<u4").tobytes()
+        self._forbid_nets(monkeypatch)
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(bytes(blob))
 

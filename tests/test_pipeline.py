@@ -67,8 +67,7 @@ class TestTrainPipeline:
         a, _ = train_pipeline(p, 12, 1, FAST_FLOW, FAST_TRAIN, Rng(5))
         b, _ = train_pipeline(p, 12, 1, FAST_FLOW, FAST_TRAIN, Rng(5))
         for fa, fb in zip(a.flows, b.flows):
-            for pa, pb in zip(fa.parameters(), fb.parameters()):
-                assert np.array_equal(pa, pb)
+            assert np.array_equal(fa.params, fb.params)
 
     def test_histories_recorded(self):
         p = tiny_problem()

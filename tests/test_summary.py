@@ -120,8 +120,7 @@ class TestAdvanceStage:
         ds = build_stage0(p, 9, Rng(31))
         rng = Rng(32)
         flow = CouplingFlow.create(x_dim, x_dim, rng, n_blocks=4, hidden=(8, 8))
-        for param in flow.parameters():
-            param += 0.4 * rng.standard_normal(param.shape)
+        flow.params += 0.4 * rng.standard_normal(flow.params.size)
         flow.fit_normalization(ds.dx, ds.ybar)
         n_s = 6
         got = advance_stage(ds, flow, p, n_s, Rng(33))
