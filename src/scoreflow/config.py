@@ -6,10 +6,10 @@ Unknown keys anywhere are errors so hyperparameter typos fail fast, and
 each value must have its default's type. The `flow`, `training` and
 `eval` defaults are the fields of `FlowConfig`, `TrainConfig` and
 `EvalConfig`, and each problem kind's defaults are its builder's keyword
-defaults, so every setting is defined once. Every output artifact embeds
-the sha256 hash of the canonicalized config without its `paths` block, so
-results can be traced back to their exact settings wherever they were
-written.
+defaults, so every setting is defined once; so is each range rule, on
+its class. Every output artifact embeds the sha256 hash of the
+canonicalized config without its `paths` block, so results can be traced
+back to their exact settings wherever they were written.
 """
 
 from __future__ import annotations
@@ -22,13 +22,25 @@ from dataclasses import asdict, dataclass, fields
 
 import yaml
 
-from .flow import FlowConfig, TrainConfig
-from .metrics import EvalConfig
+from .flow import FlowConfig, TrainConfig, check_ranges
 from .problems import InverseProblem, LinearGaussianProblem, NonlinearToyProblem
 
 
 class ConfigError(ValueError):
     """Raised for unknown keys, missing fields, or out-of-range values."""
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """Evaluation sizes: the config's `eval` block; the evaluation functions take their defaults from here."""
+
+    n_test: int = 50
+    n_samples: int = 2000
+    psnr_range: float = 2.0
+
+    def __post_init__(self):
+        check_ranges(self, ("n_test", "n_samples"), "must be >= 1", lambda v: v >= 1)
+        check_ranges(self, ("psnr_range",), "must be positive", lambda v: v > 0)
 
 
 _PROBLEM_BUILDERS = {
@@ -40,17 +52,6 @@ _PROBLEM_DEFAULTS = {
     kind: {name: p.default for name, p in inspect.signature(build).parameters.items()}
     for kind, build in _PROBLEM_BUILDERS.items()
 }
-
-_FLOW_DEFAULTS = asdict(FlowConfig())
-
-# n_train and stages are arguments of `train_pipeline`, not `TrainConfig` fields
-_TRAINING_DEFAULTS = {**asdict(TrainConfig()), "n_train": 1000, "stages": 3}
-
-_EVAL_DEFAULTS = asdict(EvalConfig())
-
-_SWEEP_DEFAULTS = {"sizes": [400, 1000, 2000]}
-
-_PATHS_DEFAULTS = {"out_dir": "runs/out"}
 
 
 def _typed(where: str, default, value):
@@ -95,10 +96,18 @@ class RunConfig:
         return canonical_hash({k: v for k, v in asdict(self).items() if k != "paths"})
 
     def flow_config(self) -> FlowConfig:
-        return FlowConfig(**self.flow)
+        return from_block(FlowConfig, "flow", self.flow)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(**{f.name: self.training[f.name] for f in fields(TrainConfig)})
+        return from_block(TrainConfig, "training", self.training)
+
+
+def from_block(cls, name: str, block: dict):
+    """`cls` from `block`'s values of its fields; a value its rules refuse is a ConfigError naming `name.key`."""
+    try:
+        return cls(**{f.name: block[f.name] for f in fields(cls)})
+    except ValueError as exc:
+        raise ConfigError(f"{name}.{exc}") from exc
 
 
 def canonical_hash(d: dict) -> str:
@@ -122,43 +131,41 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError(f"unknown problem kind '{kind}', expected one of {sorted(_PROBLEM_DEFAULTS)}")
     blocks = {
         "problem": {**_PROBLEM_DEFAULTS[kind], "kind": kind},
-        "flow": _FLOW_DEFAULTS,
-        "training": _TRAINING_DEFAULTS,
-        "eval": _EVAL_DEFAULTS,
-        "sweep": _SWEEP_DEFAULTS,
-        "paths": _PATHS_DEFAULTS,
+        "flow": asdict(FlowConfig()),
+        # n_train and stages are arguments of `train_pipeline`, not `TrainConfig` fields
+        "training": {**asdict(TrainConfig()), "n_train": 1000, "stages": 3},
+        "eval": asdict(EvalConfig()),
+        "sweep": {"sizes": [400, 1000, 2000]},
+        "paths": {"out_dir": "runs/out"},
     }
     cfg = RunConfig(
         **{name: merge_block(name, defaults, raw.get(name, {})) for name, defaults in blocks.items()},
         seed=_typed("seed", 0, raw.get("seed", 0)),
     )
+    for cls, name in ((FlowConfig, "flow"), (TrainConfig, "training"), (EvalConfig, "eval")):
+        from_block(cls, name, getattr(cfg, name))
     _validate_values(cfg)
     return cfg
 
 
 def _validate_values(cfg: RunConfig) -> None:
+    """The rules of the settings no config class holds."""
     t = cfg.training
-    counts = [("training", k) for k in ("batch_size", "max_epochs", "patience", "n_train", "n_s_train", "n_s_infer")]
-    for block, key in counts + [("eval", "n_test"), ("eval", "n_samples"), ("flow", "n_blocks")]:
-        if getattr(cfg, block)[key] < 1:
-            raise ConfigError(f"{block}.{key} must be >= 1, got {getattr(cfg, block)[key]}")
-    if any(h < 1 for h in cfg.flow["hidden"]):
-        raise ConfigError(f"flow.hidden widths must be >= 1, got {list(cfg.flow['hidden'])}")
-    for block, key in (("flow", "s_max"), ("training", "lr"), ("eval", "psnr_range")):
-        if getattr(cfg, block)[key] <= 0:
-            raise ConfigError(f"{block}.{key} must be positive, got {getattr(cfg, block)[key]}")
+    if t["n_train"] < 1:
+        raise ConfigError(f"training.n_train must be >= 1, got {t['n_train']}")
     if t["stages"] < 0:
         raise ConfigError(f"training.stages must be >= 0, got {t['stages']}")
-    if not 0.0 <= t["val_fraction"] < 1.0:
-        raise ConfigError(f"training.val_fraction must be in [0, 1), got {t['val_fraction']}")
     sizes = cfg.sweep["sizes"]
     if not sizes or any(s < 1 for s in sizes):
         raise ConfigError(f"sweep.sizes must be a nonempty list of positive ints, got {sizes}")
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {' '.join(str(exc).split())}") from exc
     return validate_config(raw or {})
 
 

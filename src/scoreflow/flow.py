@@ -56,19 +56,34 @@ class CheckpointError(ValueError):
     """Raised for malformed, truncated, or mismatched checkpoints and bundle manifests."""
 
 
-@dataclass
+def check_ranges(cfg, keys, rule: str, ok) -> None:
+    """ValueError("<key> <rule>, got <value>") for the first of `keys` whose value on `cfg` fails `ok`."""
+    for key in keys:
+        value = getattr(cfg, key)
+        if not ok(value):
+            raise ValueError(f"{key} {rule}, got {value}")
+
+
+@dataclass(frozen=True)
 class FlowConfig:
-    """Flow architecture; `CouplingFlow` and the config's `flow` block take their defaults from here."""
+    """Flow architecture: the config's `flow` block, and the header of every checkpoint."""
 
     n_blocks: int = 6
     hidden: tuple[int, ...] = (128, 128)
     s_max: float = 2.0
 
+    def __post_init__(self):
+        object.__setattr__(self, "hidden", tuple(self.hidden))
+        check_ranges(self, ("n_blocks",), "must be >= 1", lambda v: v >= 1)
+        if any(h < 1 for h in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {list(self.hidden)}")
+        check_ranges(self, ("s_max",), "must be positive and finite", lambda v: 0.0 < v < math.inf)
 
-@dataclass
+
+@dataclass(frozen=True)
 class TrainConfig:
-    """Training schedule; `train_flow`, `Adam`, `build_stage0` and the
-    config's `training` block take their defaults from here."""
+    """Training schedule: the config's `training` block (less `n_train` and
+    `stages`) and the bundle manifest's `train_config`."""
 
     lr: float = 1e-3
     weight_decay: float = 0.0
@@ -78,6 +93,12 @@ class TrainConfig:
     n_s_train: int = 64
     n_s_infer: int = 256
     val_fraction: float = 0.1
+
+    def __post_init__(self):
+        check_ranges(self, ("batch_size", "max_epochs", "patience", "n_s_train", "n_s_infer"), "must be >= 1",
+                     lambda v: v >= 1)
+        check_ranges(self, ("lr",), "must be positive", lambda v: v > 0)
+        check_ranges(self, ("val_fraction",), "must be in [0, 1)", lambda v: 0.0 <= v < 1.0)
 
 
 class ConditioningNet:
@@ -168,13 +189,13 @@ class CouplingFlow:
     the log-det.
     """
 
-    def __init__(self, x_dim, cond_dim, n_blocks, hidden, s_max):
+    def __init__(self, x_dim, cond_dim, cfg: FlowConfig):
         """A flow with every parameter zero; see `create` for a trainable start."""
         self.x_dim = int(x_dim)
         self.cond_dim = int(cond_dim)
-        self.hidden = tuple(hidden)
-        self.s_max = float(s_max)
-        self.changed = transformed_halves(self.x_dim, n_blocks)
+        self.hidden = cfg.hidden
+        self.s_max = float(cfg.s_max)
+        self.changed = transformed_halves(self.x_dim, cfg.n_blocks)
         self._shapes = [s for c in self.changed for s in net_shapes(self.x_dim, self.cond_dim, self.hidden, c)]
         self.params = np.zeros(sum(math.prod(s) for s in self._shapes))
         widths = half_widths(self.x_dim)
@@ -185,12 +206,11 @@ class CouplingFlow:
         self.cond_scale = np.ones(self.cond_dim)
 
     @classmethod
-    def create(cls, x_dim, cond_dim, rng: Rng, n_blocks=FlowConfig.n_blocks, hidden=FlowConfig.hidden,
-               s_max=FlowConfig.s_max):
+    def create(cls, x_dim, cond_dim, rng: Rng, cfg: FlowConfig):
         """A flow to train: block k draws its hidden weights from N(0, 1/fan_in)
         with `rng.child(k)`. Biases and output layers stay zero, so the flow
         starts as the identity coupling (unit scale, zero shift)."""
-        flow = cls(x_dim, cond_dim, n_blocks, hidden, s_max)
+        flow = cls(x_dim, cond_dim, cfg)
         for k, net in enumerate(flow.nets):
             net_rng = rng.child(k)
             for W in net.weights[:-1]:
@@ -205,46 +225,32 @@ class CouplingFlow:
         return [(arrays[k : k + n : 2], arrays[k + 1 : k + n : 2]) for k in range(0, len(arrays), n)]
 
     def set_normalization(self, x_mean, x_scale, cond_mean, cond_scale):
-        for name, v, d in (
-            ("x_mean", x_mean, self.x_dim),
-            ("x_scale", x_scale, self.x_dim),
-            ("cond_mean", cond_mean, self.cond_dim),
-            ("cond_scale", cond_scale, self.cond_dim),
-        ):
-            v = np.asarray(v, dtype=np.float64)
+        """Copies of the four vectors become the flow's; if any is refused, the flow keeps its own."""
+        values = [np.array(v, dtype=np.float64) for v in (x_mean, x_scale, cond_mean, cond_scale)]
+        dims = (self.x_dim, self.x_dim, self.cond_dim, self.cond_dim)
+        for name, v, d in zip(("x_mean", "x_scale", "cond_mean", "cond_scale"), values, dims):
             if v.shape != (d,):
                 raise ShapeError(f"{name} must have shape ({d},), got {v.shape}")
-        self.x_mean = np.asarray(x_mean, dtype=np.float64).copy()
-        self.x_scale = np.asarray(x_scale, dtype=np.float64).copy()
-        self.cond_mean = np.asarray(cond_mean, dtype=np.float64).copy()
-        self.cond_scale = np.asarray(cond_scale, dtype=np.float64).copy()
-        if np.any(self.x_scale <= 0.0) or np.any(self.cond_scale <= 0.0):
+        if np.any(values[1] <= 0.0) or np.any(values[3] <= 0.0):
             raise ValueError("normalization scales must be positive")
+        self.x_mean, self.x_scale, self.cond_mean, self.cond_scale = values
 
-    def fit_normalization(self, x: np.ndarray, cond: np.ndarray, floor: float = 1e-8):
-        """Estimate standardization constants from a training set."""
+    def fit_normalization(self, x: np.ndarray, cond: np.ndarray):
+        """Estimate standardization constants from a training set; each scale is at least 1e-8."""
         self.set_normalization(
             x.mean(axis=0),
-            np.maximum(x.std(axis=0), floor),
+            np.maximum(x.std(axis=0), 1e-8),
             cond.mean(axis=0),
-            np.maximum(cond.std(axis=0), floor),
+            np.maximum(cond.std(axis=0), 1e-8),
         )
 
-    def _check_batch(self, x, cond, shared_cond=False):
-        """Validated float arrays; `shared_cond` also admits a single cond row."""
-        x = self._check_x(x)
-        cond = np.asarray(cond, dtype=np.float64)
-        if cond.ndim != 2 or cond.shape[1] != self.cond_dim:
-            raise ShapeError(f"cond must be (batch, {self.cond_dim}), got {cond.shape}")
-        if x.shape[0] != cond.shape[0] and not (shared_cond and cond.shape[0] == 1):
-            raise ShapeError(f"batch sizes disagree: {x.shape[0]} vs {cond.shape[0]}")
-        return x, cond
-
-    def _check_x(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.x_dim:
-            raise ShapeError(f"x must be (batch, {self.x_dim}), got {x.shape}")
-        return x
+    @staticmethod
+    def _rows(a, width: int, name: str):
+        """`a` as a float array of shape (batch, width)."""
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim != 2 or a.shape[1] != width:
+            raise ShapeError(f"{name} must be (batch, {width}), got {a.shape}")
+        return a
 
     def _squash(self, u):
         return self.s_max * np.tanh(u / self.s_max)
@@ -261,7 +267,9 @@ class CouplingFlow:
         return self._squash(raw[:, :n_free]), raw[:, n_free:], net_cache
 
     def _forward_impl(self, x, cond, want_cache: bool):
-        x, cond = self._check_batch(x, cond)
+        x, cond = self._rows(x, self.x_dim, "x"), self._rows(cond, self.cond_dim, "cond")
+        if x.shape[0] != cond.shape[0]:
+            raise ShapeError(f"batch sizes disagree: {x.shape[0]} vs {cond.shape[0]}")
         cn = (cond - self.cond_mean) / self.cond_scale
         halves = self._split((x - self.x_mean) / self.x_scale)
         log_det = np.full(x.shape[0], -np.sum(np.log(self.x_scale)))
@@ -286,21 +294,19 @@ class CouplingFlow:
         return self._forward_impl(x, cond, want_cache=False)
 
     def condition(self, cond) -> list[np.ndarray]:
-        """Per-block condition terms of the rows of `cond`, for `inverse_conditioned`."""
-        cn = (np.asarray(cond, dtype=np.float64) - self.cond_mean) / self.cond_scale
+        """Per-block condition terms of the rows of `cond`, for `inverse`."""
+        cn = (self._rows(cond, self.cond_dim, "cond") - self.cond_mean) / self.cond_scale
         return [net.condition(cn) for net in self.nets]
 
-    def inverse(self, z, cond):
-        """Map latent z back to x; returns (x, log_det) with the forward's
-        log_det negated at the corresponding point. `cond` has one row per
-        row of z, or a single row shared by all of them."""
-        z, cond = self._check_batch(z, cond, shared_cond=True)
-        return self.inverse_conditioned(z, self.condition(cond))
-
-    def inverse_conditioned(self, z, terms):
-        """`inverse` given the terms `condition` computed, so that several
-        passes on the same conditions compute them once."""
-        halves = self._split(self._check_x(z))
+    def inverse(self, z, terms):
+        """Map latent z back to x given the terms `condition` computed, so that
+        several passes on the same conditions compute them once. `terms` has
+        one row per row of z, or a single row shared by all of them. Returns
+        (x, log_det) with the forward's log_det negated at the corresponding point."""
+        z = self._rows(z, self.x_dim, "x")
+        if len(terms) != len(self.nets) or len(terms[0]) not in (1, len(z)):
+            raise ShapeError(f"terms must be `condition`'s for 1 or {len(z)} rows")
+        halves = self._split(z)
         log_det = np.full(halves[0].shape[0], np.sum(np.log(self.x_scale)))
         for i, net, cterm in zip(reversed(self.changed), reversed(self.nets), reversed(terms)):
             s, t, _ = self._coupling(net, halves[1 - i], cterm)
@@ -353,12 +359,8 @@ class CouplingFlow:
         if n < 1:
             raise ValueError("n must be >= 1")
         z = rng.standard_normal((n, self.x_dim))
-        x, _ = self.inverse(z, cond_vec[None, :])
+        x, _ = self.inverse(z, self.condition(cond_vec[None, :]))
         return x
-
-    def posterior_mean_estimate(self, cond_vec, n_s: int, rng: Rng) -> np.ndarray:
-        """Empirical mean of n_s conditional samples."""
-        return self.sample(cond_vec, n_s, rng).mean(axis=0)
 
 
 class Adam:
@@ -369,13 +371,11 @@ class Adam:
     example ((1-b2)*g)*g), which the bitwise training tests pin down.
     """
 
-    def __init__(self, params: np.ndarray, lr=TrainConfig.lr, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=TrainConfig.weight_decay):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: np.ndarray, lr: float, weight_decay: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = np.zeros_like(params)
@@ -411,24 +411,12 @@ def train_step(flow: CouplingFlow, opt: Adam, x, cond):
     return loss, True
 
 
-def train_flow(
-    flow: CouplingFlow,
-    x_train,
-    cond_train,
-    x_val,
-    cond_val,
-    rng: Rng,
-    lr=TrainConfig.lr,
-    batch_size=TrainConfig.batch_size,
-    max_epochs=TrainConfig.max_epochs,
-    patience=TrainConfig.patience,
-    weight_decay=TrainConfig.weight_decay,
-):
+def train_flow(flow: CouplingFlow, x_train, cond_train, x_val, cond_val, rng: Rng, cfg: TrainConfig):
     """Maximum-likelihood training with early stopping on validation NLL.
 
     The learning rate is halved whenever validation loss has not improved
     for `LR_PATIENCE` epochs (reduce-on-plateau); training stops once it
-    has not improved for `patience` epochs. Returns a history list of
+    has not improved for `cfg.patience` epochs. Returns a history list of
     (epoch, train_loss, val_loss). The flow is left at the weights with
     the best validation loss seen.
     """
@@ -437,17 +425,17 @@ def train_flow(
     n = x_train.shape[0]
     if n < 1:
         raise ValueError("training set is empty")
-    opt = Adam(flow.params, lr=lr, weight_decay=weight_decay)
+    opt = Adam(flow.params, cfg.lr, cfg.weight_decay)
     have_val = x_val is not None and len(x_val) > 0
     best_val = np.inf
     best = None
     since_best = 0
     history = []
-    for epoch in range(max_epochs):
+    for epoch in range(cfg.max_epochs):
         order = rng.child(epoch).permutation(n)
         losses = []
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
             loss, _ = train_step(flow, opt, x_train[idx], cond_train[idx])
             losses.append(loss)
         train_loss = float(np.mean(losses))
@@ -459,7 +447,7 @@ def train_flow(
             since_best = 0
         else:
             since_best += 1
-            if since_best >= patience:
+            if since_best >= cfg.patience:
                 break
             if since_best % LR_PATIENCE == 0 and opt.lr > MIN_LR:
                 # restart from the best weights seen at a lower learning rate
@@ -467,7 +455,7 @@ def train_flow(
                     flow.params[...] = best
                 lr = max(opt.lr * LR_FACTOR, MIN_LR)
                 opt = None  # frees the old moment and scratch vectors before the new ones are allocated
-                opt = Adam(flow.params, lr=lr, weight_decay=weight_decay)
+                opt = Adam(flow.params, lr, cfg.weight_decay)
     if best is not None:
         flow.params[...] = best
     return history
@@ -512,9 +500,11 @@ def load_checkpoint(data: bytes, expected_x_dim=None, expected_cond_dim=None) ->
     if expected_cond_dim is not None and cond_dim != expected_cond_dim:
         raise CheckpointError(f"checkpoint cond_dim {cond_dim} does not match expected {expected_cond_dim}")
     (s_max,) = r.unpack("<d")
-    if not 0.0 < s_max < np.inf:
-        raise CheckpointError(f"checkpoint s_max must be positive and finite, got {s_max}")
     hidden = r.unpack(f"<{n_hidden}I")
+    try:
+        cfg = FlowConfig(n_blocks, hidden, s_max)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint {exc}") from exc
     if x_dim < 1:
         raise CheckpointError("checkpoint x_dim must be at least 1")
     expected = _checkpoint_length(x_dim, cond_dim, n_blocks, hidden)
@@ -526,7 +516,7 @@ def load_checkpoint(data: bytes, expected_x_dim=None, expected_cond_dim=None) ->
         if not np.array_equal(r.array(x_dim, np.uint8), m):
             raise CheckpointError(f"checkpoint mask of block {k} is not the alternating half layout")
     norms = [r.array(d, "<f8") for d in (x_dim, x_dim, cond_dim, cond_dim)]
-    out = CouplingFlow(x_dim, cond_dim, n_blocks, hidden, s_max)
+    out = CouplingFlow(x_dim, cond_dim, cfg)
     # the exact length check makes the parameter vector the payload's tail; copy it in once
     out.params[...] = np.frombuffer(data, "<f8", out.params.size, len(data) - out.params.nbytes)
     try:

@@ -20,6 +20,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
+from .config import EvalConfig
 from .numerics import Rng, ShapeError
 from .pipeline import (
     FlowConfig,
@@ -53,11 +54,10 @@ def psnr(estimate, truth, data_range: float) -> float:
 SSIM_WINDOW = 11
 
 
-def ssim(estimate, truth, data_range: float, window: int = SSIM_WINDOW, sigma: float = 1.5,
-         k1: float = 0.01, k2: float = 0.03) -> float:
-    """Structural similarity with a Gaussian window and standard stabilizers.
+def ssim(estimate, truth, data_range: float) -> float:
+    """Structural similarity with an 11-pixel Gaussian window (sigma 1.5) and stabilizers k1 = 0.01, k2 = 0.03.
 
-    Inputs must be 2-D images of identical shape, at least window wide.
+    Inputs must be 2-D images of identical shape, at least the window wide.
     """
     estimate = np.asarray(estimate, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -65,11 +65,11 @@ def ssim(estimate, truth, data_range: float, window: int = SSIM_WINDOW, sigma: f
         raise ShapeError("ssim requires 2-D image inputs")
     if estimate.shape != truth.shape:
         raise ShapeError(f"shapes disagree: {estimate.shape} vs {truth.shape}")
-    if min(estimate.shape) < window:
-        raise ShapeError(f"image smaller than ssim window {window}: {estimate.shape}")
+    if min(estimate.shape) < SSIM_WINDOW:
+        raise ShapeError(f"image smaller than ssim window {SSIM_WINDOW}: {estimate.shape}")
     from scipy.signal import convolve2d  # on first use, so importing scoreflow loads no SciPy
 
-    kern = gaussian_kernel_2d(window, sigma)
+    kern = gaussian_kernel_2d(SSIM_WINDOW, 1.5)
 
     def filt(img):
         return convolve2d(img, kern, mode="valid")
@@ -80,8 +80,8 @@ def ssim(estimate, truth, data_range: float, window: int = SSIM_WINDOW, sigma: f
     s1 = filt(estimate * estimate) - mu1_sq
     s2 = filt(truth * truth) - mu2_sq
     s12 = filt(estimate * truth) - mu12
-    c1 = (k1 * data_range) ** 2
-    c2 = (k2 * data_range) ** 2
+    c1 = (0.01 * data_range) ** 2
+    c2 = (0.03 * data_range) ** 2
     num = (2 * mu12 + c1) * (2 * s12 + c2)
     den = (mu1_sq + mu2_sq + c1) * (s1 + s2 + c2)
     return float(np.mean(num / den))
@@ -94,15 +94,6 @@ def moment_errors(ens: PosteriorEnsemble, oracle: AnalyticPosterior) -> tuple[fl
     mean_err = float(np.linalg.norm(ens.mean - oracle.mean))
     cov_err = float(np.linalg.norm(ens.cov - oracle.cov.dense(), ord="fro"))
     return mean_err, cov_err
-
-
-@dataclass
-class EvalConfig:
-    """Evaluation sizes; the config's `eval` block and the evaluation functions take their defaults from here."""
-
-    n_test: int = 50
-    n_samples: int = 2000
-    psnr_range: float = 2.0
 
 
 @dataclass
@@ -180,7 +171,7 @@ def evaluate_testset(
             if oracle is not None or s == L + 1:
                 x_prev, ybar_prev = traj[s - 1]
                 deltas = pipeline.flows[s - 1].sample(ybar_prev, n_samples, obs_rng.child(2, s))
-                ens = PosteriorEnsemble.from_samples(x_prev + deltas, x_prev)
+                ens = PosteriorEnsemble.from_samples(x_prev + deltas)
                 if oracle is not None:
                     mean_err, cov_err = moment_errors(ens, oracle)
             if s <= L:

@@ -27,9 +27,23 @@ class Rng:
     """Reproducible random stream keyed by a 64-bit seed.
 
     Backed by the counter-based Philox generator, so identical seeds give
-    identical streams across runs and platforms. Child streams derived via
-    `child(*key)` depend only on (seed, key), which makes per-record and
-    per-stage generation reproducible regardless of evaluation order.
+    identical streams across runs and platforms. A child stream
+    `child(*key)` depends only on (seed, key), so generation is
+    reproducible regardless of evaluation order. It does not nest: a
+    child's key replaces its parent's, so whatever nested keys callers ask
+    for, the streams that draw are these:
+
+    key        draws
+    (k,)       block k's initial weights and epoch k's permutation, in every
+               stage; (0,) also every test observation's prior draw
+    (0, i)     record i of stage 0 (also `generate`'s dataset); (0, 1) also
+               every test observation's noise
+    (1, s, i)  record i's latents when advancing to stage s
+    (3, i)     inference update i
+    (4,)       the final draws of `infer`
+    (2, s)     stage s's draws in `evaluate_testset`
+
+    Every test observation, and every sweep size, draws from the same keys.
     """
 
     def __init__(self, seed: int, _seq: np.random.SeedSequence | None = None):

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError, from_block, merge_block, problem_from_config
 from .flow import CheckpointError, CouplingFlow, FlowConfig, TrainConfig, load_checkpoint, save_checkpoint, train_flow
 from .numerics import Rng, ShapeError
 from .problems import InverseProblem
@@ -65,7 +66,6 @@ class PosteriorEnsemble:
     """Posterior samples (absolute parameters) plus derived statistics."""
 
     samples: np.ndarray  # (n, x_dim)
-    fiducial: np.ndarray  # (x_dim,), the final fiducial x_L
     mean: np.ndarray
     cov: np.ndarray  # unbiased (n-1) estimator
     std: np.ndarray
@@ -73,14 +73,14 @@ class PosteriorEnsemble:
     trajectory: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
     @classmethod
-    def from_samples(cls, samples: np.ndarray, fiducial: np.ndarray) -> "PosteriorEnsemble":
+    def from_samples(cls, samples: np.ndarray) -> "PosteriorEnsemble":
         samples = np.asarray(samples, dtype=np.float64)
         mean = samples.mean(axis=0)
         centered = samples - mean
         denom = max(samples.shape[0] - 1, 1)
         cov = centered.T @ centered / denom
         cov = 0.5 * (cov + cov.T)
-        return cls(samples, np.asarray(fiducial, dtype=np.float64), mean, cov, np.sqrt(np.diag(cov)))
+        return cls(samples, mean, cov, np.sqrt(np.diag(cov)))
 
 
 def train_pipeline(
@@ -107,24 +107,12 @@ def train_pipeline(
     for j in range(L + 1):
         if progress:
             progress(f"stage {j}/{L}: training flow on {ds.n_records} records")
-        flow = CouplingFlow.create(problem.x_dim, problem.x_dim, rng.child(_KEY_FLOW_INIT, j), **asdict(flow_cfg))
+        flow = CouplingFlow.create(problem.x_dim, problem.x_dim, rng.child(_KEY_FLOW_INIT, j), flow_cfg)
         dx_tr, ybar_tr = ds.train_arrays()
         dx_val, ybar_val = ds.val_arrays()
         flow.fit_normalization(dx_tr, ybar_tr)
         try:
-            history = train_flow(
-                flow,
-                dx_tr,
-                ybar_tr,
-                dx_val,
-                ybar_val,
-                rng.child(_KEY_TRAIN, j),
-                lr=train_cfg.lr,
-                batch_size=train_cfg.batch_size,
-                max_epochs=train_cfg.max_epochs,
-                patience=train_cfg.patience,
-                weight_decay=train_cfg.weight_decay,
-            )
+            history = train_flow(flow, dx_tr, ybar_tr, dx_val, ybar_val, rng.child(_KEY_TRAIN, j), train_cfg)
         except FloatingPointError as exc:
             raise PipelineError(
                 f"flow training diverged at stage {j}: {exc}", stage=j, completed_flows=flows
@@ -153,39 +141,37 @@ def train_pipeline(
     return pipeline, datasets
 
 
-def intermediate_trajectory(pipeline: TrainedPipeline, y, rng: Rng, n_s: int | None = None):
+def intermediate_trajectory(pipeline: TrainedPipeline, y, rng: Rng):
     """Fiducials and scores (x_i, ybar_i) for i = 0..L along the inference loop."""
     problem = pipeline.problem
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (problem.y_dim,):
         raise ShapeError(f"y must have shape ({problem.y_dim},), got {y.shape}")
-    if n_s is None:
-        n_s = pipeline.train_config.n_s_infer
+    n_s = pipeline.train_config.n_s_infer  # draws averaged per fiducial update
     L = pipeline.n_stages
     x = problem.default_fiducial()
     out = []
     for i in range(L):
         ybar = problem.score(x, y)
         out.append((x, ybar))
-        update = pipeline.flows[i].posterior_mean_estimate(ybar, n_s, rng.child(_KEY_INFER_UPDATE, i))
-        x = x + update
+        x = x + pipeline.flows[i].sample(ybar, n_s, rng.child(_KEY_INFER_UPDATE, i)).mean(axis=0)
         if not np.all(np.isfinite(x)):
             raise PipelineError(f"non-finite fiducial at inference iteration {i}", stage=i)
     out.append((x, problem.score(x, y)))
     return out
 
 
-def infer(pipeline: TrainedPipeline, y, n_samples: int, rng: Rng, n_s: int | None = None) -> PosteriorEnsemble:
+def infer(pipeline: TrainedPipeline, y, n_samples: int, rng: Rng) -> PosteriorEnsemble:
     """Full inference: L fiducial updates, then n_samples from the final flow.
 
     The returned ensemble carries the trajectory of those updates.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    traj = intermediate_trajectory(pipeline, y, rng, n_s=n_s)
+    traj = intermediate_trajectory(pipeline, y, rng)
     x_final, ybar_final = traj[-1]
     deltas = pipeline.flows[-1].sample(ybar_final, n_samples, rng.child(_KEY_INFER_SAMPLE))
-    ens = PosteriorEnsemble.from_samples(x_final + deltas, x_final)
+    ens = PosteriorEnsemble.from_samples(x_final + deltas)
     ens.trajectory = traj
     return ens
 
@@ -232,8 +218,6 @@ def save_pipeline(pipeline: TrainedPipeline, out_dir) -> None:
 
 def load_pipeline(bundle_dir, problem: InverseProblem | None = None) -> TrainedPipeline:
     """Load a bundle; rebuilds the problem from the manifest unless one is given."""
-    from .config import ConfigError, merge_block, problem_from_config  # import cycle: config -> metrics -> pipeline
-
     bundle = Path(bundle_dir)
     manifest_path = bundle / "manifest.json"
     if not manifest_path.exists():
@@ -255,6 +239,7 @@ def load_pipeline(bundle_dir, problem: InverseProblem | None = None) -> TrainedP
         if problem is None:
             problem = problem_from_config(manifest["problem"])
         tc = merge_block("train_config", asdict(TrainConfig()), manifest.get("train_config", {}))
+        train_config = from_block(TrainConfig, "train_config", tc)
     except ConfigError as exc:
         raise CheckpointError(f"bundle manifest {manifest_path}: {exc}") from exc
     if problem.x_dim != manifest["x_dim"] or problem.y_dim != manifest["y_dim"]:
@@ -276,5 +261,5 @@ def load_pipeline(bundle_dir, problem: InverseProblem | None = None) -> TrainedP
         seed=manifest.get("seed", 0),
         config_hash=manifest.get("config_hash", ""),
         problem_config=manifest["problem"],
-        train_config=TrainConfig(**tc),
+        train_config=train_config,
     )

@@ -105,7 +105,7 @@ def advance_stage(
     terms = flow.condition(ds.ybar)
     update = np.zeros((n, x_dim))
     for k in range(n_s):
-        xk, _ = flow.inverse_conditioned(z[:, k, :], terms)
+        xk, _ = flow.inverse(z[:, k, :], terms)
         update += xk
     update /= n_s
     bad = np.flatnonzero(~np.all(np.isfinite(update), axis=1))

@@ -42,7 +42,7 @@ REPL_TRAIN = TrainConfig(lr=1e-3, max_epochs=400, patience=50)
 class TestCriterion1FlowCorrectness:
     def test_flow_correctness_suite(self):
         rng = Rng(101)
-        flow = CouplingFlow.create(4, 3, rng, n_blocks=4, hidden=(16, 16))
+        flow = CouplingFlow.create(4, 3, rng, FlowConfig(n_blocks=4, hidden=(16, 16)))
         flow.params += 0.3 * rng.standard_normal(flow.params.size)
         flow.set_normalization([0.1, -0.2, 0.0, 0.3], [1.2, 0.8, 1.0, 1.5],
                                np.zeros(3), np.ones(3))
@@ -50,7 +50,7 @@ class TestCriterion1FlowCorrectness:
         x = rng.standard_normal((30, 4))
         c = rng.standard_normal((30, 3))
         z, ld_f = flow.forward(x, c)
-        xr, ld_i = flow.inverse(z, c)
+        xr, ld_i = flow.inverse(z, flow.condition(c))
         invertible = np.abs(xr - x).max() <= 1e-8 and np.abs(ld_f + ld_i).max() <= 1e-8
 
         # analytic log-det vs. a finite-difference Jacobian at one point
@@ -213,7 +213,7 @@ class TestCriterion7Determinism:
         ds = build_stage0(prob, 10, Rng(105))
         blob = save_dataset(ds)
         ds_ok = save_dataset(load_dataset(blob)) == blob
-        flow = CouplingFlow.create(4, 4, Rng(106), n_blocks=2, hidden=(8,))
+        flow = CouplingFlow.create(4, 4, Rng(106), FlowConfig(n_blocks=2, hidden=(8,)))
         ckpt = save_checkpoint(flow)
         ckpt_ok = save_checkpoint(load_checkpoint(ckpt)) == ckpt
         report(7, "checkpoint and dataset round-trips", ds_ok and ckpt_ok)

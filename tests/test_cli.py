@@ -239,6 +239,19 @@ class TestBadInputs:
 
         assert "train_config.lr" in self._infer(tmp_path, capsys, corrupt=corrupt)
 
+    def test_out_of_range_train_config_value(self, tmp_path, capsys):
+        def corrupt(bundle):
+            edit_manifest(bundle, lambda m: m["train_config"].update(n_s_infer=0))
+
+        assert "train_config.n_s_infer must be >= 1" in self._infer(tmp_path, capsys, corrupt=corrupt)
+
+    @pytest.mark.parametrize("content", [b"a: [\n", b"\xff\xfe\x00problem"], ids=["malformed_yaml", "not_utf8"])
+    def test_unreadable_config(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(content)
+        line = self._one_error_line(capsys, ["train", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert line.startswith(f"error: cannot read config {path}: ")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_observation(self, tmp_path, capsys, bad):
         assert "non-finite" in self._infer(tmp_path, capsys, y=(0.0, bad, 2.0, 3.0))

@@ -1,18 +1,23 @@
 import inspect
+import json
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 import yaml
 
 from scoreflow.config import (
     ConfigError,
+    EvalConfig,
     canonical_hash,
     load_config,
     problem_from_config,
     validate_config,
 )
-from scoreflow.metrics import EvalConfig, evaluate_testset, sweep_training_size
-from scoreflow.pipeline import FlowConfig, TrainConfig
+from scoreflow.flow import CheckpointError, CouplingFlow, load_checkpoint, save_checkpoint
+from scoreflow.metrics import evaluate_testset, sweep_training_size
+from scoreflow.numerics import Rng
+from scoreflow.pipeline import FlowConfig, TrainConfig, TrainedPipeline, load_pipeline, save_pipeline
 from scoreflow.problems import LinearGaussianProblem, NonlinearToyProblem
 
 MINIMAL = {"problem": {"kind": "linear_gaussian"}}
@@ -136,6 +141,67 @@ class TestValidation:
         assert cfg.problem["grid"] == 8
         assert cfg.training["n_train"] == 123
         assert cfg.seed == 7
+
+
+RULES = [
+    ("flow", "n_blocks", 0), ("flow", "hidden", (0,)), ("flow", "s_max", 0.0),
+    ("training", "lr", 0.0), ("training", "batch_size", 0), ("training", "max_epochs", 0),
+    ("training", "patience", 0), ("training", "n_s_train", 0), ("training", "n_s_infer", 0),
+    ("training", "val_fraction", 1.0),
+    ("eval", "n_test", 0), ("eval", "n_samples", 0), ("eval", "psnr_range", 0.0),
+]
+
+
+def small_flow():
+    return CouplingFlow.create(2, 2, Rng(0), FlowConfig(n_blocks=2, hidden=(4,)))
+
+
+def checkpoint_with(key, value) -> bytes:
+    """A checkpoint whose header field `key` (the first width, for `hidden`) reads `value`."""
+    blob = bytearray(save_checkpoint(small_flow()))
+    at, fmt = {"n_blocks": (8 + 3 * 4, "<u4"), "s_max": (8 + 5 * 4, "<f8"), "hidden": (8 + 5 * 4 + 8, "<u4")}[key]
+    blob[at : at + np.dtype(fmt).itemsize] = np.array([value[0] if key == "hidden" else value], fmt).tobytes()
+    return bytes(blob)
+
+
+def bundle_with(tmp_path, key, value):
+    """A saved bundle whose manifest's `train_config.key` reads `value`."""
+    problem_block = validate_config({"problem": {"kind": "linear_gaussian", "x_dim": 2, "y_dim": 4}}).problem
+    pipe = TrainedPipeline(problem_from_config(problem_block), [small_flow()], seed=0, problem_config=problem_block)
+    bundle = tmp_path / "bundle"
+    save_pipeline(pipe, bundle)
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    manifest["train_config"][key] = value
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    return bundle
+
+
+class TestRangeRules:
+    """Each range rule is stated once, on its config class, so every route refuses the same value
+    with the same words: direct construction, the config, and the bundle manifest or checkpoint header."""
+
+    @pytest.mark.parametrize("block, key, value", RULES, ids=[f"{b}.{k}" for b, k, _ in RULES])
+    def test_every_route_refuses(self, tmp_path, block, key, value):
+        cls = {"flow": FlowConfig, "training": TrainConfig, "eval": EvalConfig}[block]
+        with pytest.raises(ValueError, match=rf"^{key}\b") as direct:
+            cls(**{key: value})
+        rule = str(direct.value)
+        given = list(value) if isinstance(value, tuple) else value
+        with pytest.raises(ConfigError) as exc:
+            validate_config({**MINIMAL, block: {key: given}})
+        assert str(exc.value) == f"{block}.{rule}"
+        if block == "flow":
+            with pytest.raises(CheckpointError) as exc:
+                load_checkpoint(checkpoint_with(key, value))
+            assert str(exc.value) == f"checkpoint {rule}"
+        if block == "training":
+            with pytest.raises(CheckpointError) as exc:
+                load_pipeline(bundle_with(tmp_path, key, value))
+            assert str(exc.value).endswith(f": train_config.{rule}")
+
+    def test_config_objects_are_frozen(self):
+        with pytest.raises(AttributeError):
+            TrainConfig().lr = 0.0
 
 
 class TestHashing:

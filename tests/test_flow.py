@@ -1,4 +1,3 @@
-import inspect
 import tracemalloc
 
 import numpy as np
@@ -23,7 +22,7 @@ from scoreflow.numerics import LOG_2PI, Rng, ShapeError
 
 def small_flow(x_dim=3, cond_dim=2, n_blocks=2, hidden=(8, 8), seed=7, randomize=0.3):
     rng = Rng(seed)
-    flow = CouplingFlow.create(x_dim, cond_dim, rng, n_blocks=n_blocks, hidden=hidden)
+    flow = CouplingFlow.create(x_dim, cond_dim, rng, FlowConfig(n_blocks, hidden))
     if randomize:
         flow.params += randomize * rng.standard_normal(flow.params.size)
     return flow
@@ -86,7 +85,7 @@ class TestForward:
         x = rng.standard_normal((20, 4))
         c = rng.standard_normal((20, 3))
         z, ld_f = flow.forward(x, c)
-        xr, ld_i = flow.inverse(z, c)
+        xr, ld_i = flow.inverse(z, flow.condition(c))
         assert np.abs(xr - x).max() <= 1e-8
         assert np.abs(ld_f + ld_i).max() <= 1e-8
 
@@ -104,7 +103,7 @@ class TestInverse:
         rng = Rng(4)
         z = rng.standard_normal((6, 3))
         c = rng.standard_normal((6, 2))
-        x, _ = flow.inverse(z, c)
+        x, _ = flow.inverse(z, flow.condition(c))
         assert np.abs(x - z).max() == 0.0
 
     def test_forward_of_inverse_is_identity(self):
@@ -112,7 +111,7 @@ class TestInverse:
         rng = Rng(5)
         z = rng.standard_normal((10, 3))
         c = rng.standard_normal((10, 2))
-        x, _ = flow.inverse(z, c)
+        x, _ = flow.inverse(z, flow.condition(c))
         z2, _ = flow.forward(x, c)
         assert np.abs(z2 - z).max() <= 1e-8
 
@@ -126,7 +125,7 @@ class TestInverse:
         raw = np.tanh(np.concatenate([z[:, :1], c], axis=1) @ W0 + b0) @ W1 + b1
         s = flow._squash(raw[:, :1])
         t = raw[:, 1:]
-        x, _ = flow.inverse(z, c)
+        x, _ = flow.inverse(z, flow.condition(c))
         expected = (z[0, 1] - t[0, 0]) * np.exp(-s[0, 0])
         assert abs(x[0, 1] - expected) < 1e-12
         assert x[0, 0] == z[0, 0]
@@ -250,7 +249,7 @@ class TestMatchesMaskReference:
         z, ld = flow.forward(x, c)
         z_ref, ld_ref, _ = forward_reference(flow, x, c)
         assert rel_err(z, z_ref) <= 1e-12 and rel_err(ld, ld_ref) <= 1e-12
-        xr, ld_i = flow.inverse(z, c)
+        xr, ld_i = flow.inverse(z, flow.condition(c))
         xr_ref, ld_i_ref = inverse_reference(flow, z, c)
         assert rel_err(xr, xr_ref) <= 1e-12 and rel_err(ld_i, ld_i_ref) <= 1e-12
         loss, grad = flow.nll_loss_and_grads(x, c)
@@ -270,20 +269,24 @@ class TestMatchesMaskReference:
         ref, _ = inverse_reference(flow, Rng(5).standard_normal((40, x_dim)), np.tile(cond, (40, 1)))
         assert rel_err(got, ref) <= 1e-12
 
-    def test_inverse_conditioned_reuses_terms(self):
+    def test_inverse_reuses_terms(self):
         flow, rng = self._flow(5, seed=80)
         c = rng.standard_normal((7, 3))
         terms = flow.condition(c)
         for _ in range(3):
             z = rng.standard_normal((7, 5))
-            x, ld = flow.inverse_conditioned(z, terms)
+            x, ld = flow.inverse(z, terms)
             x_ref, ld_ref = inverse_reference(flow, z, c)
             assert rel_err(x, x_ref) <= 1e-12 and rel_err(ld, ld_ref) <= 1e-12
 
     def test_inverse_rejects_other_batch_sizes(self):
         flow, _ = self._flow(3, seed=81)
         with pytest.raises(ShapeError):
-            flow.inverse(np.zeros((4, 3)), np.zeros((2, 3)))
+            flow.inverse(np.zeros((4, 3)), flow.condition(np.zeros((2, 3))))
+        with pytest.raises(ShapeError):
+            flow.inverse(np.zeros((3, 3)), np.zeros((3, 3)))  # conditions, not their terms
+        with pytest.raises(ShapeError):
+            flow.condition(np.zeros((2, 4)))
 
 
 class TestNllLoss:
@@ -295,12 +298,12 @@ class TestNllLoss:
         # full NLL of a converged fit to N(0,1) approaches the differential
         # entropy 0.5*(1 + log 2*pi) ~= 1.4189
         rng = Rng(21)
-        flow = CouplingFlow.create(1, 1, rng, n_blocks=2, hidden=(16,))
+        flow = CouplingFlow.create(1, 1, rng, FlowConfig(n_blocks=2, hidden=(16,)))
         x = rng.standard_normal((1500, 1))
         c = np.zeros((1500, 1))
         flow.fit_normalization(x[:1200], c[:1200])
         train_flow(flow, x[:1200], c[:1200], x[1200:], c[1200:], rng.child(99),
-                   max_epochs=150, patience=30)
+                   TrainConfig(max_epochs=150, patience=30))
         full_nll = flow.nll_loss(x, c) + 0.5 * LOG_2PI
         assert abs(full_nll - 0.5 * (1.0 + LOG_2PI)) < 0.05
 
@@ -319,7 +322,7 @@ class TestNllLoss:
 
     def test_density_normalizes_in_1d(self):
         rng = Rng(23)
-        flow = CouplingFlow.create(1, 1, rng, n_blocks=2, hidden=(8,))
+        flow = CouplingFlow.create(1, 1, rng, FlowConfig(n_blocks=2, hidden=(8,)))
         flow.params += 0.2 * rng.standard_normal(flow.params.size)
         c = np.zeros((1, 1))
         grid = np.linspace(-8.0, 8.0, 4001)
@@ -340,7 +343,7 @@ class TestTrainStep:
         flow = small_flow(x_dim=2, cond_dim=2, seed=5)
         x, c = self._batch()
         before = flow.params.copy()
-        opt = Adam(flow.params, lr=0.0)
+        opt = Adam(flow.params, 0.0, 0.0)
         loss, stepped = train_step(flow, opt, x, c)
         assert stepped
         assert np.isfinite(loss)
@@ -351,7 +354,7 @@ class TestTrainStep:
                           seed=6, randomize=0.0)
         x, c = self._batch(n=128)
         flow.fit_normalization(x, c)
-        opt = Adam(flow.params, lr=1e-3)
+        opt = Adam(flow.params, 1e-3, 0.0)
         losses = [train_step(flow, opt, x, c)[0] for _ in range(500)]
         for start in (0, 100, 200):
             assert losses[start + 100] < losses[start] - 1e-6
@@ -366,7 +369,7 @@ class TestTrainStep:
     def test_nonfinite_gradients_skip_step(self):
         flow = small_flow(x_dim=2, cond_dim=2, seed=10)
         flow.nets[0].weights[0][0, 0] = np.nan
-        opt = Adam(flow.params, lr=1e-3)
+        opt = Adam(flow.params, 1e-3, 0.0)
         x, c = self._batch(n=8)
         with pytest.raises(FloatingPointError):
             train_step(flow, opt, x, c)
@@ -382,10 +385,10 @@ class TestParameterVector:
 
     def test_adam_step_allocates_less_than_the_parameters(self):
         # a toy-sized flow (x_dim 256, default widths): the step works in place
-        flow = CouplingFlow.create(256, 256, Rng(0))
+        flow = CouplingFlow.create(256, 256, Rng(0), FlowConfig())
         rng = Rng(1)
         _, grad = flow.nll_loss_and_grads(rng.standard_normal((8, 256)), rng.standard_normal((8, 256)))
-        opt = Adam(flow.params, weight_decay=1e-3)
+        opt = Adam(flow.params, 1e-3, 1e-3)
         tracemalloc.start()
         try:
             opt.step(grad)
@@ -398,9 +401,9 @@ class TestParameterVector:
 class AdamReference:
     """Adam over a list of arrays, one at a time: the bitwise reference for `Adam`."""
 
-    def __init__(self, params, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr, weight_decay):
         self.params, self.lr, self.weight_decay = params, lr, weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -469,13 +472,13 @@ class TestTrainingMatchesPerArrayReference:
         rng = Rng(50)
         c = rng.standard_normal((200, 2))
         x = np.tanh(c @ rng.standard_normal((2, 3))) + 0.3 * rng.standard_normal((200, 3))
-        flows = [CouplingFlow.create(3, 2, Rng(51), n_blocks=3, hidden=(8, 8)) for _ in range(2)]
+        flows = [CouplingFlow.create(3, 2, Rng(51), FlowConfig(n_blocks=3, hidden=(8, 8))) for _ in range(2)]
         for flow in flows:
             flow.fit_normalization(x, c)
         start = flows[0].params.copy()
         data = (x[:160], c[:160], x[160:], c[160:], Rng(52))
         kw = dict(lr=3e-2, batch_size=32, max_epochs=60, patience=35, weight_decay=weight_decay)
-        history = train_flow(flows[0], *data, **kw)
+        history = train_flow(flows[0], *data, TrainConfig(**kw))
         assert history == train_flow_reference(flows[1], *data, **kw)
         assert lr_restarts(history) >= 1
         assert not np.array_equal(flows[0].params, start)
@@ -496,10 +499,10 @@ class TestSampling:
         mean_map = 1.5
         noise = 0.4
         x_all = mean_map * c_all + noise * rng.standard_normal((2000, 1))
-        flow = CouplingFlow.create(1, 1, rng.child(1), n_blocks=2, hidden=(16,))
+        flow = CouplingFlow.create(1, 1, rng.child(1), FlowConfig(n_blocks=2, hidden=(16,)))
         flow.fit_normalization(x_all, c_all)
         train_flow(flow, x_all[:1800], c_all[:1800], x_all[1800:], c_all[1800:],
-                   rng.child(2), max_epochs=120, patience=30)
+                   rng.child(2), TrainConfig(max_epochs=120, patience=30))
         cond = np.array([0.7])
         n = 10_000
         draws = flow.sample(cond, n, rng.child(3))
@@ -522,23 +525,18 @@ class TestSampling:
 
 
 class TestPosteriorMeanEstimate:
+    """The fiducial update's estimate: the mean of a flow's draws."""
+
     def test_identity_flow_mean_near_zero(self):
         flow = small_flow(x_dim=2, cond_dim=1, randomize=0.0)
         n_s = 100_000
-        est = flow.posterior_mean_estimate(np.zeros(1), n_s, Rng(8))
+        est = flow.sample(np.zeros(1), n_s, Rng(8)).mean(axis=0)
         assert np.abs(est).max() <= 4.0 / np.sqrt(n_s)
-
-    def test_single_sample_mean(self):
-        flow = small_flow(seed=14)
-        cond = np.array([0.3, 0.4])
-        est = flow.posterior_mean_estimate(cond, 1, Rng(9))
-        single = flow.sample(cond, 1, Rng(9))[0]
-        assert np.array_equal(est, single)
 
     def test_matches_large_reference_sampling(self):
         flow = small_flow(x_dim=2, cond_dim=2, seed=15, randomize=0.2)
         cond = np.array([0.5, -0.5])
-        est = flow.posterior_mean_estimate(cond, 20_000, Rng(10))
+        est = flow.sample(cond, 20_000, Rng(10)).mean(axis=0)
         ref = flow.sample(cond, 200_000, Rng(11)).mean(axis=0)
         spread = flow.sample(cond, 1000, Rng(12)).std(axis=0).max()
         assert np.abs(est - ref).max() < 4 * spread / np.sqrt(20_000) + 4 * spread / np.sqrt(200_000)
@@ -621,6 +619,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="s_max"):
             load_checkpoint(bytes(blob))
 
+    def test_zero_hidden_width_rejected(self):
+        # nets with a zero-wide hidden layer ignore their input; the header is refused by FlowConfig's rule
+        blob = bytearray(save_checkpoint(small_flow(hidden=(8,))))
+        hidden_at = 8 + 5 * 4 + 8  # magic, u32 header, s_max
+        blob[hidden_at : hidden_at + 4] = np.array([0], dtype="<u4").tobytes()
+        with pytest.raises(CheckpointError, match=r"checkpoint hidden widths must be >= 1, got \[0\]"):
+            load_checkpoint(bytes(blob))
+
     def test_trailing_bytes_rejected(self):
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(save_checkpoint(small_flow()) + b"\x00")
@@ -630,14 +636,3 @@ class TestCheckpoint:
         blob[8] = 99  # version field
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(bytes(blob))
-
-
-class TestDefaults:
-    def test_keyword_defaults_are_the_dataclass_defaults(self):
-        create = inspect.signature(CouplingFlow.create).parameters
-        for name, value in vars(FlowConfig()).items():
-            assert create[name].default == value
-        train = inspect.signature(train_flow).parameters
-        cfg = vars(TrainConfig())
-        for name in ("lr", "batch_size", "max_epochs", "patience", "weight_decay"):
-            assert train[name].default == cfg[name]

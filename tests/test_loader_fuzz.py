@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from scoreflow.flow import CheckpointError, CouplingFlow, load_checkpoint, save_checkpoint
+from scoreflow.flow import CheckpointError, CouplingFlow, FlowConfig, load_checkpoint, save_checkpoint
 from scoreflow.numerics import Rng, SpdMatrix
 from scoreflow.problems import LinearGaussianProblem
 from scoreflow.summary import DatasetError, build_stage0, load_dataset, save_dataset
@@ -21,7 +21,7 @@ FUZZ = settings(
 
 
 def _checkpoint() -> bytes:
-    return save_checkpoint(CouplingFlow.create(3, 3, Rng(0), n_blocks=2, hidden=(4,)))
+    return save_checkpoint(CouplingFlow.create(3, 3, Rng(0), FlowConfig(n_blocks=2, hidden=(4,))))
 
 
 def _dataset() -> bytes:

@@ -140,7 +140,7 @@ class TestMomentErrors:
         rng = Rng(8)
         cov = SpdMatrix.identity(2)
         samples = rng.standard_normal((10, 2))
-        ens = PosteriorEnsemble.from_samples(samples, np.zeros(2))
+        ens = PosteriorEnsemble.from_samples(samples)
         oracle = AnalyticPosterior(ens.mean, SpdMatrix.from_dense(ens.cov + 1e-9 * np.eye(2)))
         mean_err, cov_err = moment_errors(ens, oracle)
         assert mean_err == 0.0
@@ -149,7 +149,7 @@ class TestMomentErrors:
 
     def test_known_offsets(self):
         samples = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-        ens = PosteriorEnsemble.from_samples(samples, np.zeros(2))
+        ens = PosteriorEnsemble.from_samples(samples)
         oracle = AnalyticPosterior(np.array([3.0, 4.0]), SpdMatrix.identity(2))
         mean_err, cov_err = moment_errors(ens, oracle)
         assert abs(mean_err - 5.0) < 1e-12  # 3-4-5 triangle
@@ -157,7 +157,7 @@ class TestMomentErrors:
         assert abs(cov_err - np.linalg.norm(diff, ord="fro")) < 1e-12
 
     def test_dim_mismatch(self):
-        ens = PosteriorEnsemble.from_samples(np.zeros((3, 2)), np.zeros(2))
+        ens = PosteriorEnsemble.from_samples(np.zeros((3, 2)))
         with pytest.raises(ShapeError):
             moment_errors(ens, AnalyticPosterior(np.zeros(3), SpdMatrix.identity(3)))
 
@@ -227,7 +227,7 @@ def every_stage_evaluation(pipeline, problem, n_test, rng, n_samples, psnr_range
         for s in range(1, L + 2):
             x_prev, ybar_prev = traj[s - 1]
             deltas = pipeline.flows[s - 1].sample(ybar_prev, n_samples, obs_rng.child(2, s))
-            ens = PosteriorEnsemble.from_samples(x_prev + deltas, x_prev)
+            ens = PosteriorEnsemble.from_samples(x_prev + deltas)
             if s <= L:
                 point = traj[s][0]
             else:

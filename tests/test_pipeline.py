@@ -34,14 +34,14 @@ class TestPosteriorEnsemble:
     def test_moments_match_numpy(self):
         rng = Rng(2)
         samples = rng.standard_normal((500, 3)) @ np.diag([1.0, 2.0, 0.5]) + [1.0, 0.0, -1.0]
-        ens = PosteriorEnsemble.from_samples(samples, np.zeros(3))
+        ens = PosteriorEnsemble.from_samples(samples)
         assert np.allclose(ens.mean, samples.mean(axis=0), atol=0)
         # unbiased estimator, cross-checked against numpy's
         assert np.abs(ens.cov - np.cov(samples.T)).max() < 1e-10
         assert np.allclose(ens.std, np.sqrt(np.diag(ens.cov)), atol=0)
 
     def test_single_sample(self):
-        ens = PosteriorEnsemble.from_samples(np.array([[1.0, 2.0]]), np.zeros(2))
+        ens = PosteriorEnsemble.from_samples(np.array([[1.0, 2.0]]))
         assert np.array_equal(ens.mean, [1.0, 2.0])
         assert np.abs(ens.cov).max() == 0.0
 
@@ -111,7 +111,7 @@ class TestInference:
         y = Rng(13).standard_normal(p.y_dim)
         traj = intermediate_trajectory(pipe, y, Rng(14))
         ens = infer(pipe, y, 50, Rng(14))
-        assert np.array_equal(ens.fiducial, traj[-1][0])
+        assert np.array_equal(ens.trajectory[-1][0], traj[-1][0])
 
     def test_infer_returns_its_trajectory(self):
         p, pipe = self._pipe(L=2)
@@ -135,7 +135,7 @@ class TestInference:
         p, pipe = self._pipe()
         y = Rng(17).standard_normal(p.y_dim)
         ens = infer(pipe, y, 200, Rng(18))
-        deltas = ens.samples - ens.fiducial
+        deltas = ens.samples - ens.trajectory[-1][0]
         direct = np.cov(deltas.T)
         assert np.abs(ens.cov - direct).max() <= 1e-10
 

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from scoreflow.flow import CouplingFlow, train_flow
+from scoreflow.flow import CouplingFlow, FlowConfig, TrainConfig, train_flow
 from scoreflow.numerics import Rng, SpdMatrix
 from scoreflow.problems import LinearGaussianProblem
 from scoreflow.summary import (
@@ -26,7 +26,7 @@ def tiny_problem(seed=1, x_dim=2, y_dim=4):
 
 
 def identity_flow(x_dim):
-    return CouplingFlow.create(x_dim, x_dim, Rng(0), n_blocks=2, hidden=(4,))
+    return CouplingFlow.create(x_dim, x_dim, Rng(0), FlowConfig(n_blocks=2, hidden=(4,)))
 
 
 class TestBuildStage0:
@@ -119,7 +119,7 @@ class TestAdvanceStage:
         p = tiny_problem(seed=30 + x_dim, x_dim=x_dim, y_dim=x_dim + 2)
         ds = build_stage0(p, 9, Rng(31))
         rng = Rng(32)
-        flow = CouplingFlow.create(x_dim, x_dim, rng, n_blocks=4, hidden=(8, 8))
+        flow = CouplingFlow.create(x_dim, x_dim, rng, FlowConfig(n_blocks=4, hidden=(8, 8)))
         flow.params += 0.4 * rng.standard_normal(flow.params.size)
         flow.fit_normalization(ds.dx, ds.ybar)
         n_s = 6
@@ -158,12 +158,12 @@ class TestAdvanceStage:
     def test_trained_flow_contracts_residuals(self):
         p = tiny_problem(seed=20)
         ds = build_stage0(p, 400, Rng(12))
-        flow = CouplingFlow.create(p.x_dim, p.x_dim, Rng(13), n_blocks=4, hidden=(32,))
+        flow = CouplingFlow.create(p.x_dim, p.x_dim, Rng(13), FlowConfig(n_blocks=4, hidden=(32,)))
         dx_tr, ybar_tr = ds.train_arrays()
         dx_val, ybar_val = ds.val_arrays()
         flow.fit_normalization(dx_tr, ybar_tr)
         train_flow(flow, dx_tr, ybar_tr, dx_val, ybar_val, Rng(14),
-                   max_epochs=120, patience=30)
+                   TrainConfig(max_epochs=120, patience=30))
         ds1 = advance_stage(ds, flow, p, 64, Rng(15))
         before = np.abs(ds.dx).mean()
         after = np.abs(ds1.dx).mean()
