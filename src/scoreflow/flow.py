@@ -253,7 +253,11 @@ class CouplingFlow:
         return a
 
     def _squash(self, u):
-        return self.s_max * np.tanh(u / self.s_max)
+        """s_max * tanh(u / s_max), computed in one new array."""
+        s = np.divide(u, self.s_max)
+        np.tanh(s, out=s)
+        s *= self.s_max
+        return s
 
     def _split(self, x):
         """[lo, hi] views of the two coordinate halves."""
@@ -306,13 +310,23 @@ class CouplingFlow:
         z = self._rows(z, self.x_dim, "x")
         if len(terms) != len(self.nets) or len(terms[0]) not in (1, len(z)):
             raise ShapeError(f"terms must be `condition`'s for 1 or {len(z)} rows")
+        return self._inverse(z, terms)
+
+    def _inverse(self, z, terms):
+        """`inverse` on checked float64 arguments; `advance_stage` calls it from
+        worker threads. Each block gives its transformed half one new array and
+        updates it in place; both halves are then scaled into one output array."""
         halves = self._split(z)
-        log_det = np.full(halves[0].shape[0], np.sum(np.log(self.x_scale)))
+        log_det = np.full(len(z), np.sum(np.log(self.x_scale)))
         for i, net, cterm in zip(reversed(self.changed), reversed(self.nets), reversed(terms)):
             s, t, _ = self._coupling(net, halves[1 - i], cterm)
-            halves[i] = (halves[i] - t) * np.exp(-s)
-            log_det = log_det - s.sum(axis=1)
-        x = np.concatenate(halves, axis=1) * self.x_scale + self.x_mean
+            log_det -= s.sum(axis=1)
+            halves[i] = halves[i] - t  # never in place: a half starts as a view of z
+            halves[i] *= np.exp(np.negative(s, out=s), out=s)
+        x = np.empty(z.shape)
+        for h, out, scale in zip(halves, self._split(x), self._split(self.x_scale[None, :])):
+            np.multiply(h, scale, out=out)
+        x += self.x_mean
         if not np.all(np.isfinite(x)):
             raise FloatingPointError("non-finite activations in flow inverse")
         return x, log_det

@@ -153,8 +153,7 @@ def evaluate_testset(
     from their trajectory point and get NaN moment errors. Each draw has
     its own stream `rng.child(t).child(2, s)`, so skipping one moves no
     other draw."""
-    if n_test < 1:
-        raise ValueError("n_test must be >= 1")
+    EvalConfig(n_test, n_samples, psnr_range)  # its range rules, before any work
     _check_ssim_fits(problem)
     L = pipeline.n_stages
     report = MetricReport(n_stages=L + 1)
@@ -214,6 +213,7 @@ def sweep_training_size(
     """Train and evaluate one pipeline per training-set size."""
     if not sizes:
         raise ValueError("sizes must be nonempty")
+    EvalConfig(n_test, n_samples, psnr_range)  # its range rules, before any training
     _check_ssim_fits(problem)
     out = {}
     for idx, n_train in enumerate(sizes):

@@ -10,6 +10,7 @@ residuals and scores.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -84,6 +85,14 @@ def build_stage0(
     return FiducialDataset(0, x_true, y, x_fid, dx, ybar, is_val)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def advance_stage(
     ds: FiducialDataset, flow: CouplingFlow, problem: InverseProblem, n_s: int, rng: Rng
 ) -> FiducialDataset:
@@ -91,7 +100,9 @@ def advance_stage(
 
     x_{i+1} = x_i + empirical mean of n_s conditional flow samples given
     the stored score; residuals and scores are then recomputed. Ground
-    truth and observations are carried over untouched.
+    truth and observations are carried over untouched. The n_s inverse
+    passes run on every CPU the process may use; the result does not
+    depend on how many there are.
     """
     if n_s < 1:
         raise ValueError("n_s must be >= 1")
@@ -104,9 +115,24 @@ def advance_stage(
         z[i] = rng.child(_KEY_ADVANCE, next_stage, i).standard_normal((n_s, x_dim))
     terms = flow.condition(ds.ybar)
     update = np.zeros((n, x_dim))
-    for k in range(n_s):
-        xk, _ = flow.inverse(z[:, k, :], terms)
-        update += xk
+    # The slots' passes are independent and numpy releases the GIL inside them,
+    # so up to w run at once: this thread runs slot i while a pool runs slots
+    # i+1..i+w-1. The sum is still taken here in slot order, which keeps the
+    # update bitwise the same for every w. Workers call the flow's private pass
+    # body, never a public method that a caller may have wrapped.
+    w = min(_usable_cpus(), n_s)
+    if w == 1:
+        for k in range(n_s):
+            update += flow._inverse(z[:, k, :], terms)[0]
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # imported here to keep it out of start-up
+
+        with ThreadPoolExecutor(w - 1) as pool:
+            for i in range(0, n_s, w):
+                rest = [pool.submit(flow._inverse, z[:, k, :], terms) for k in range(i + 1, min(i + w, n_s))]
+                update += flow._inverse(z[:, i, :], terms)[0]
+                for future in rest:
+                    update += future.result()[0]
     update /= n_s
     bad = np.flatnonzero(~np.all(np.isfinite(update), axis=1))
     if bad.size:

@@ -1,4 +1,5 @@
-"""What a fresh interpreter loads: SciPy is imported by the functions that call it, never at import time.
+"""What a fresh interpreter loads: SciPy and the thread pool of `advance_stage` are imported by the
+functions that use them, never at import time.
 
 Each check runs in its own interpreter, since this test process has SciPy loaded already.
 """
@@ -50,6 +51,14 @@ def test_import_and_set_up_load_no_scipy(tmp_path):
 for path in ({str(lin)!r}, {str(toy)!r}):
     problem_from_config(load_config(path).problem)
 assert scipy_modules() == [], scipy_modules()
+""")
+
+
+def test_import_and_set_up_load_no_thread_pool(tmp_path):
+    toy = write_cfg(tmp_path, {"kind": "nonlinear_toy"})
+    run_fresh(tmp_path, f"""
+problem_from_config(load_config({str(toy)!r}).problem)
+assert "concurrent.futures" not in sys.modules
 """)
 
 

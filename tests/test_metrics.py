@@ -3,6 +3,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+import scoreflow.metrics as sf_metrics
 from scoreflow.flow import CouplingFlow
 from scoreflow.metrics import (
     MetricRecord,
@@ -210,6 +211,24 @@ class TestEvaluateTestset:
         pipe, _ = train_pipeline(p, 16, 0, FAST_FLOW, FAST_TRAIN, Rng(13))
         with pytest.raises(ValueError):
             evaluate_testset(pipe, p, 0, Rng(14))
+
+    @pytest.mark.parametrize("key, value", [("n_test", 0), ("n_samples", 0), ("psnr_range", 0.0)])
+    @pytest.mark.parametrize("fn", ["evaluate_testset", "sweep_training_size"])
+    def test_out_of_range_size_refused_before_any_work(self, monkeypatch, fn, key, value):
+        p = tiny_problem()
+        pipe, _ = train_pipeline(p, 16, 0, FAST_FLOW, FAST_TRAIN, Rng(13))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the sizes were checked")
+
+        monkeypatch.setattr(sf_metrics, "intermediate_trajectory", no_work)
+        monkeypatch.setattr(sf_metrics, "train_pipeline", no_work)
+        sizes = {"n_test": 1, "n_samples": 10, "psnr_range": 2.0, key: value}
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            if fn == "evaluate_testset":
+                evaluate_testset(pipe, p, sizes.pop("n_test"), Rng(14), **sizes)
+            else:
+                sweep_training_size(p, [8], 0, FAST_FLOW, FAST_TRAIN, Rng(14), **sizes)
 
 
 def every_stage_evaluation(pipeline, problem, n_test, rng, n_samples, psnr_range=2.0):

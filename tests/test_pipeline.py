@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 import scoreflow.pipeline as sf_pipeline
+from scoreflow.flow import save_checkpoint
 from scoreflow.numerics import Rng, ShapeError, SpdMatrix
 from scoreflow.pipeline import (
     FlowConfig,
@@ -68,6 +71,15 @@ class TestTrainPipeline:
         b, _ = train_pipeline(p, 12, 1, FAST_FLOW, FAST_TRAIN, Rng(5))
         for fa, fb in zip(a.flows, b.flows):
             assert np.array_equal(fa.params, fb.params)
+
+    def test_checkpoints_do_not_depend_on_cpu_count(self, monkeypatch):
+        p = tiny_problem()
+        blobs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            pipe, _ = train_pipeline(p, 12, 2, FAST_FLOW, FAST_TRAIN, Rng(5))
+            blobs.append([save_checkpoint(flow) for flow in pipe.flows])
+        assert blobs[0] == blobs[1]
 
     def test_histories_recorded(self):
         p = tiny_problem()

@@ -1,10 +1,14 @@
+import os
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from scoreflow.flow import CouplingFlow, FlowConfig, TrainConfig, train_flow
 from scoreflow.numerics import Rng, SpdMatrix
+from scoreflow.pipeline import PipelineError, train_pipeline
 from scoreflow.problems import LinearGaussianProblem
 from scoreflow.summary import (
     _KEY_ADVANCE,
@@ -182,6 +186,91 @@ class TestAdvanceStage:
         ds = build_stage0(p, 2, Rng(18))
         with pytest.raises(ValueError):
             advance_stage(ds, identity_flow(p.x_dim), p, 0, Rng(19))
+
+
+def set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+class TestParallelSlots:
+    """`advance_stage` runs its slots' passes on every usable CPU and sums them in slot order."""
+
+    def _setup(self):
+        p = tiny_problem(seed=40, x_dim=3, y_dim=5)
+        ds = build_stage0(p, 9, Rng(41))
+        rng = Rng(42)
+        flow = CouplingFlow.create(3, 3, rng, FlowConfig(n_blocks=4, hidden=(8, 8)))
+        flow.params += 0.4 * rng.standard_normal(flow.params.size)
+        flow.fit_normalization(ds.dx, ds.ybar)
+        return p, ds, flow
+
+    @pytest.mark.parametrize("n_s", [1, 5, 64])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_equals_serial_loop_over_public_inverse(self, monkeypatch, cpus, n_s):
+        p, ds, flow = self._setup()
+        set_cpus(monkeypatch, cpus)
+        threads, body = set(), CouplingFlow._inverse
+
+        def recording(flow, z, terms):
+            threads.add(threading.get_ident())
+            return body(flow, z, terms)
+
+        monkeypatch.setattr(CouplingFlow, "_inverse", recording)
+        got = advance_stage(ds, flow, p, n_s, Rng(43))
+        monkeypatch.undo()
+        w = min(cpus, n_s)
+        assert (len(threads) == 1) if w == 1 else (2 <= len(threads) <= w)
+        z = np.stack([Rng(43).child(_KEY_ADVANCE, 1, i).standard_normal((n_s, 3)) for i in range(9)])
+        terms = flow.condition(ds.ybar)
+        update = np.zeros((9, 3))
+        for k in range(n_s):
+            update += flow.inverse(z[:, k, :], terms)[0]
+        update /= n_s
+        assert np.array_equal(got.x_fid, ds.x_fid + update)
+
+    def test_more_workers_than_cores_with_frequent_switches(self, monkeypatch):
+        p, ds, flow = self._setup()
+        set_cpus(monkeypatch, 1)
+        serial = advance_stage(ds, flow, p, 64, Rng(43))
+        set_cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = [advance_stage(ds, flow, p, 64, Rng(43)) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in threaded:
+            assert np.array_equal(got.x_fid, serial.x_fid)
+
+    def test_worker_error_reaches_the_caller_unchanged(self, monkeypatch):
+        p, ds, flow = self._setup()
+        set_cpus(monkeypatch, 2)
+        err = FloatingPointError("non-finite activations in flow inverse")
+        body = CouplingFlow._inverse
+
+        def failing_in_workers(flow, z, terms):
+            if threading.current_thread() is not threading.main_thread():
+                raise err
+            return body(flow, z, terms)
+
+        monkeypatch.setattr(CouplingFlow, "_inverse", failing_in_workers)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError) as info:
+            advance_stage(ds, flow, p, 5, Rng(43))
+        assert info.value is err
+        assert threading.active_count() == before
+        cfg = TrainConfig(max_epochs=2, patience=2, n_s_train=4)
+        with pytest.raises(PipelineError, match="fiducial advancement diverged after stage 0") as info:
+            train_pipeline(p, 12, 2, FlowConfig(n_blocks=2, hidden=(8,)), cfg, Rng(44))
+        assert info.value.__cause__ is err
+        assert info.value.stage == 0 and len(info.value.completed_flows) == 1
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        p, ds, flow = self._setup()
+        set_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        advance_stage(ds, flow, p, 64, Rng(43))
+        assert threading.active_count() == before
 
 
 class TestSerialization:
