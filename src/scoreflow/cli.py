@@ -32,6 +32,8 @@ def _progress(msg: str) -> None:
 def _effective_config(args) -> RunConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg.seed = args.seed
     if args.out is not None:
         cfg.paths["out_dir"] = args.out

@@ -150,6 +150,8 @@ def validate_config(raw: dict) -> RunConfig:
 
 def _validate_values(cfg: RunConfig) -> None:
     """The rules of the settings no config class holds."""
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     t = cfg.training
     if t["n_train"] < 1:
         raise ConfigError(f"training.n_train must be >= 1, got {t['n_train']}")
@@ -158,6 +160,8 @@ def _validate_values(cfg: RunConfig) -> None:
     sizes = cfg.sweep["sizes"]
     if not sizes or any(s < 1 for s in sizes):
         raise ConfigError(f"sweep.sizes must be a nonempty list of positive ints, got {sizes}")
+    if len(set(sizes)) < len(sizes):
+        raise ConfigError(f"sweep.sizes must not repeat a size, got {sizes}")
 
 
 def load_config(path) -> RunConfig:

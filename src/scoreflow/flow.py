@@ -98,6 +98,7 @@ class TrainConfig:
         check_ranges(self, ("batch_size", "max_epochs", "patience", "n_s_train", "n_s_infer"), "must be >= 1",
                      lambda v: v >= 1)
         check_ranges(self, ("lr",), "must be positive", lambda v: v > 0)
+        check_ranges(self, ("weight_decay",), "must be >= 0", lambda v: v >= 0)
         check_ranges(self, ("val_fraction",), "must be in [0, 1)", lambda v: 0.0 <= v < 1.0)
 
 

@@ -213,6 +213,8 @@ def sweep_training_size(
     """Train and evaluate one pipeline per training-set size."""
     if not sizes:
         raise ValueError("sizes must be nonempty")
+    if len(set(sizes)) < len(sizes):
+        raise ValueError(f"sizes must not repeat a size, got {list(sizes)}")
     EvalConfig(n_test, n_samples, psnr_range)  # its range rules, before any training
     _check_ssim_fits(problem)
     out = {}

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 import yaml
 
+import scoreflow.cli as sf_cli
 import scoreflow.metrics as sf_metrics
 from scoreflow.cli import main
+from scoreflow.config import load_config, problem_from_config
 from scoreflow.flow import load_checkpoint, save_checkpoint
+from scoreflow.numerics import Rng
+from scoreflow.pipeline import train_pipeline
 from scoreflow.summary import load_dataset
 
 TINY = {
@@ -52,6 +56,22 @@ class TestGenerate:
         first = (out / "dataset_stage000.bin").read_bytes()
         main(["generate", "--config", str(cfg), "--out", str(out)])
         assert (out / "dataset_stage000.bin").read_bytes() == first
+
+    def test_dataset_is_the_one_train_builds(self, tmp_path):
+        # `generate` and `train` draw stage 0 from the same stream, so the file holds train's stage-0 records
+        path = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 0
+        got = load_dataset((out / "dataset_stage000.bin").read_bytes())
+        cfg = load_config(path)
+        _, datasets = train_pipeline(
+            problem_from_config(cfg.problem), cfg.training["n_train"], cfg.training["stages"],
+            cfg.flow_config(), cfg.train_config(), Rng(cfg.seed),
+        )
+        want = datasets[0]
+        assert (got.stage, got.n_val) == (want.stage, want.n_val) == (0, 1)
+        for name in ("x_true", "y", "x_fid", "ybar"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_seed_override_changes_data(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -303,6 +323,33 @@ class TestBadInputs:
                                              "--out", str(out)])
         assert message in line
         assert not (out / "bundle").exists()
+
+    @pytest.mark.parametrize("route", ["config", "flag"])
+    @pytest.mark.parametrize("command", ["generate", "train", "infer"])
+    def test_negative_seed(self, tmp_path, capsys, monkeypatch, route, command):
+        # refused before any work: no problem is built, no bundle read, no output directory made
+        def no_work(*args):
+            raise AssertionError("work started before the seed was checked")
+
+        monkeypatch.setattr(sf_cli, "problem_from_config", no_work)
+        monkeypatch.setattr(sf_cli, "load_pipeline", no_work)
+        out = tmp_path / "o"
+        argv = [command, "--config", str(write_cfg(tmp_path, {"seed": -1} if route == "config" else None)),
+                "--out", str(out)]
+        if route == "flag":
+            argv += ["--seed", "-1"]
+        if command == "infer":
+            argv += ["--bundle", str(tmp_path / "nope"), "--y", str(tmp_path / "y.txt")]
+        line = self._one_error_line(capsys, argv)
+        assert line == f"error: {'seed' if route == 'config' else '--seed'} must be >= 0, got -1"
+        assert not out.exists()
+
+    def test_negative_weight_decay(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        line = self._one_error_line(capsys, ["train", "--config", str(write_cfg(tmp_path, {"training": {
+            "weight_decay": -1.0}})), "--out", str(out)])
+        assert line == "error: training.weight_decay must be >= 0, got -1.0"
+        assert not out.exists()
 
 
 class TestSweep:

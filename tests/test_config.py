@@ -90,6 +90,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="sizes"):
             validate_config({**MINIMAL, "sweep": {"sizes": []}})
 
+    def test_sweep_sizes_must_be_distinct(self):
+        # results are keyed by size, so a repeated size would train twice and keep one result
+        with pytest.raises(ConfigError, match=r"sweep\.sizes must not repeat a size, got \[10, 20, 10\]"):
+            validate_config({**MINIMAL, "sweep": {"sizes": [10, 20, 10]}})
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_seed_must_be_non_negative(self, seed):
+        with pytest.raises(ConfigError, match=rf"^seed must be >= 0, got {seed}$"):
+            validate_config({**MINIMAL, "seed": seed})
+
     @pytest.mark.parametrize("hidden", [[-5], [0], [64, 0]])
     def test_hidden_widths_must_be_positive(self, hidden):
         with pytest.raises(ConfigError, match=r"flow\.hidden widths must be >= 1"):
@@ -145,9 +155,9 @@ class TestValidation:
 
 RULES = [
     ("flow", "n_blocks", 0), ("flow", "hidden", (0,)), ("flow", "s_max", 0.0),
-    ("training", "lr", 0.0), ("training", "batch_size", 0), ("training", "max_epochs", 0),
-    ("training", "patience", 0), ("training", "n_s_train", 0), ("training", "n_s_infer", 0),
-    ("training", "val_fraction", 1.0),
+    ("training", "lr", 0.0), ("training", "weight_decay", -1.0), ("training", "batch_size", 0),
+    ("training", "max_epochs", 0), ("training", "patience", 0), ("training", "n_s_train", 0),
+    ("training", "n_s_infer", 0), ("training", "val_fraction", 1.0),
     ("eval", "n_test", 0), ("eval", "n_samples", 0), ("eval", "psnr_range", 0.0),
 ]
 

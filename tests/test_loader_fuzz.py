@@ -78,4 +78,5 @@ def test_load_dataset_raises_only_dataset_error(data):
 
 def test_payloads_are_valid():
     assert load_checkpoint(CHECKPOINT).x_dim == 3
-    assert load_dataset(DATASET).n_records == 6
+    ds = load_dataset(DATASET)
+    assert (ds.n_records, ds.n_val) == (6, 3)

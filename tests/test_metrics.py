@@ -230,6 +230,15 @@ class TestEvaluateTestset:
             else:
                 sweep_training_size(p, [8], 0, FAST_FLOW, FAST_TRAIN, Rng(14), **sizes)
 
+    def test_sweep_refuses_a_repeated_size_before_any_work(self, monkeypatch):
+        # results are keyed by size: a repeated size would be trained twice and keep one result
+        def no_work(*args, **kwargs):
+            raise AssertionError("training started before the sizes were checked")
+
+        monkeypatch.setattr(sf_metrics, "train_pipeline", no_work)
+        with pytest.raises(ValueError, match=r"sizes must not repeat a size, got \[10, 8, 10\]"):
+            sweep_training_size(tiny_problem(), [10, 8, 10], 0, FAST_FLOW, FAST_TRAIN, Rng(14))
+
 
 def every_stage_evaluation(pipeline, problem, n_test, rng, n_samples, psnr_range=2.0):
     """Reference loop that draws an ensemble at every stage, whether or not a metric reads it."""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scoreflow.flow import CouplingFlow, FlowConfig, TrainConfig, train_flow
-from scoreflow.numerics import Rng, SpdMatrix
+from scoreflow.numerics import ByteReader, Rng, SpdMatrix
 from scoreflow.pipeline import PipelineError, train_pipeline
 from scoreflow.problems import LinearGaussianProblem
 from scoreflow.summary import (
@@ -57,14 +57,13 @@ class TestBuildStage0:
         assert abs(resid.std() - 0.5) < 0.05
 
     def test_val_split_size_and_position(self):
-        ds = build_stage0(tiny_problem(), 20, Rng(5), val_fraction=0.25)
-        assert ds.is_val.sum() == 5
-        assert np.all(ds.is_val[-5:])
-        assert not np.any(ds.is_val[:-5])
-        dx_tr, ybar_tr = ds.train_arrays()
-        dx_val, ybar_val = ds.val_arrays()
-        assert dx_tr.shape[0] == 15 and dx_val.shape[0] == 5
-        assert ybar_tr.shape == dx_tr.shape and ybar_val.shape == dx_val.shape
+        # the split is the last floor(val_fraction * n) records: the rows a suffix mask selects
+        for val_fraction, n_val in ((0.25, 5), (0.0, 0), (0.99, 19)):
+            ds = build_stage0(tiny_problem(), 20, Rng(5), val_fraction=val_fraction)
+            assert ds.n_val == n_val
+            is_val = np.arange(20) >= 20 - n_val
+            for got, m in ((ds.train_arrays(), ~is_val), (ds.val_arrays(), is_val)):
+                assert np.array_equal(got[0], ds.dx[m]) and np.array_equal(got[1], ds.ybar[m])
 
     def test_determinism(self):
         p = tiny_problem()
@@ -84,6 +83,12 @@ class TestBuildStage0:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             build_stage0(tiny_problem(), 0, Rng(0))
+
+    @pytest.mark.parametrize("val_fraction", [-0.3, 1.0, 1.5])
+    def test_rejects_out_of_range_val_fraction(self, val_fraction):
+        # outside [0, 1) the split would hold a negative count or every record
+        with pytest.raises(ValueError, match=r"val_fraction must be in \[0, 1\)"):
+            build_stage0(tiny_problem(), 10, Rng(0), val_fraction=val_fraction)
 
 
 def masks_reference(x_dim, n_blocks):
@@ -149,7 +154,7 @@ class TestAdvanceStage:
         assert np.abs(shift).max() <= 5.0 / np.sqrt(n_s)
         assert np.array_equal(ds1.x_true, ds.x_true)
         assert np.array_equal(ds1.y, ds.y)
-        assert np.array_equal(ds1.is_val, ds.is_val)
+        assert ds1.n_val == ds.n_val
 
     def test_residuals_and_scores_recomputed(self):
         p = tiny_problem()
@@ -158,6 +163,21 @@ class TestAdvanceStage:
         assert np.allclose(ds1.dx, ds1.x_true - ds1.x_fid, atol=0)
         for i in range(ds1.n_records):
             assert np.array_equal(ds1.ybar[i], p.score(ds1.x_fid[i], ds1.y[i]))
+
+    def test_residual_is_truth_minus_fiducial_bitwise(self):
+        # the residual is derived, not stored: after two updates it is exactly x_true - x_fid,
+        # and the training and validation residuals are its leading and trailing rows
+        p = tiny_problem()
+        ds = build_stage0(p, 10, Rng(10), val_fraction=0.3)
+        flow = CouplingFlow.create(p.x_dim, p.x_dim, Rng(12), FlowConfig(n_blocks=2, hidden=(4,)))
+        flow.params += 0.3 * Rng(13).standard_normal(flow.params.size)
+        for stage in (1, 2):
+            ds = advance_stage(ds, flow, p, 8, Rng(11))
+            assert ds.stage == stage and ds.n_val == 3
+            dx = ds.x_true - ds.x_fid
+            assert np.array_equal(ds.dx, dx)
+            assert np.array_equal(ds.train_arrays()[0], dx[:7])
+            assert np.array_equal(ds.val_arrays()[0], dx[7:])
 
     def test_trained_flow_contracts_residuals(self):
         p = tiny_problem(seed=20)
@@ -265,6 +285,21 @@ class TestParallelSlots:
         assert info.value.__cause__ is err
         assert info.value.stage == 0 and len(info.value.completed_flows) == 1
 
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        p, ds, flow = self._setup()
+        set_cpus(monkeypatch, 2)
+        two = advance_stage(ds, flow, p, 64, Rng(43))
+        set_cpus(monkeypatch, 1)
+
+        def no_thread(thread):
+            raise AssertionError("advance_stage started a thread on one CPU")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        one = advance_stage(ds, flow, p, 64, Rng(43))
+        monkeypatch.undo()
+        assert np.array_equal(one.x_fid, two.x_fid)
+        assert np.array_equal(one.ybar, two.ybar)
+
     def test_no_thread_outlives_the_call(self, monkeypatch):
         p, ds, flow = self._setup()
         set_cpus(monkeypatch, 2)
@@ -282,10 +317,23 @@ class TestSerialization:
         ds = self._dataset()
         blob = save_dataset(ds)
         ds2 = load_dataset(blob)
-        assert ds2.stage == ds.stage
-        for name in ("x_true", "y", "x_fid", "dx", "ybar", "is_val"):
+        assert (ds2.stage, ds2.n_val) == (ds.stage, ds.n_val) == (0, 2)
+        for name in ("x_true", "y", "x_fid", "dx", "ybar"):
             assert np.array_equal(getattr(ds2, name), getattr(ds, name))
         assert save_dataset(ds2) == blob
+        # version 2 layout: the header, then x_true, y, x_fid and ybar as little-endian f64
+        header = DATASET_MAGIC + struct.pack("<IIIIII", 2, 0, 7, 2, 4, 2)
+        arrays = b"".join(a.astype("<f8").tobytes() for a in (ds.x_true, ds.y, ds.x_fid, ds.ybar))
+        assert blob == header + arrays
+
+    def test_version_1_payload_is_refused(self):
+        # the earlier layout: a five-field header, one split tag per record, then dx among the arrays
+        ds = self._dataset()
+        tags = (np.arange(7) >= 5).astype(np.uint8).tobytes()
+        arrays = b"".join(a.astype("<f8").tobytes() for a in (ds.x_true, ds.y, ds.x_fid, ds.dx, ds.ybar))
+        blob = DATASET_MAGIC + struct.pack("<IIIII", 1, 0, 7, 2, 4) + tags + arrays
+        with pytest.raises(DatasetError, match="unsupported dataset version 1, expected 2"):
+            load_dataset(blob)
 
     def test_bad_magic(self):
         blob = bytearray(save_dataset(self._dataset()))
@@ -325,7 +373,21 @@ class TestSerialization:
     def test_zero_width_records(self, x_dim, y_dim):
         # a payload consistent with its header, whose 3 records would each be empty in one field
         n = 3
-        blob = DATASET_MAGIC + struct.pack("<IIIII", 1, 0, n, x_dim, y_dim) + bytes(n)
-        blob += bytes(8 * n * (4 * x_dim + y_dim))
+        blob = DATASET_MAGIC + struct.pack("<IIIIII", 2, 0, n, x_dim, y_dim, 1)
+        blob += bytes(8 * n * (3 * x_dim + y_dim))
         with pytest.raises(DatasetError, match="x_dim and y_dim must be at least 1"):
             load_dataset(blob)
+
+    @pytest.mark.parametrize("arrays", [True, False], ids=["whole_payload", "header_only"])
+    def test_more_validation_records_than_records(self, monkeypatch, arrays):
+        blob = bytearray(save_dataset(self._dataset()))
+        blob[28:32] = (8).to_bytes(4, "little")  # n_val, the header's last field, of 7 records
+        if not arrays:
+            del blob[32:]
+
+        def no_read(*args):
+            raise AssertionError("an array was read before the header was checked")
+
+        monkeypatch.setattr(ByteReader, "array", no_read)
+        with pytest.raises(DatasetError, match="8 validation records but only 7 records"):
+            load_dataset(bytes(blob))
