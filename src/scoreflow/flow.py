@@ -44,7 +44,7 @@ import numpy as np
 from .numerics import LOG_2PI, ByteReader, Rng, ShapeError
 
 CHECKPOINT_MAGIC = b"SFLOWCKP"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # reduce-on-plateau schedule of `train_flow`
 LR_PATIENCE = 10
@@ -167,18 +167,6 @@ def net_shapes(x_dim: int, cond_dim: int, hidden, changed: int) -> list[tuple[in
     widths = half_widths(x_dim)
     w = [widths[1 - changed] + cond_dim, *hidden, 2 * widths[changed]]
     return [shape for fan_in, fan_out in zip(w, w[1:]) for shape in ((fan_in, fan_out), (fan_out,))]
-
-
-def alternating_masks(x_dim: int, n_blocks: int) -> list[np.ndarray]:
-    """Boolean masks of each block's kept half, the layout checkpoints store."""
-    lo = x_dim // 2
-    masks = []
-    for changed in transformed_halves(x_dim, n_blocks):
-        m = np.zeros(x_dim, dtype=bool)
-        m[lo:] = changed == 0
-        m[:lo] = changed == 1
-        masks.append(m)
-    return masks
 
 
 class CouplingFlow:
@@ -481,8 +469,9 @@ def save_checkpoint(flow: CouplingFlow) -> bytes:
 
     Layout (little-endian): magic "SFLOWCKP" | u32 version | u32 x_dim |
     u32 cond_dim | u32 n_blocks | u32 n_hidden | f64 s_max | u32 hidden
-    widths | masks as n_blocks*x_dim bytes | x_mean, x_scale, cond_mean,
-    cond_scale as f64 vectors | the parameter vector as f64.
+    widths | x_mean, x_scale, cond_mean, cond_scale as f64 vectors | the
+    parameter vector as f64. Which half each block transforms follows from
+    x_dim and n_blocks, so it is not stored.
     """
     parts = [
         CHECKPOINT_MAGIC,
@@ -497,8 +486,6 @@ def save_checkpoint(flow: CouplingFlow) -> bytes:
         struct.pack("<d", flow.s_max),
         struct.pack(f"<{len(flow.hidden)}I", *flow.hidden),
     ]
-    for m in alternating_masks(flow.x_dim, len(flow.nets)):
-        parts.append(m.astype(np.uint8).tobytes())
     for v in (flow.x_mean, flow.x_scale, flow.cond_mean, flow.cond_scale, flow.params):
         parts.append(np.ascontiguousarray(v, dtype="<f8").tobytes())
     return b"".join(parts)
@@ -527,9 +514,6 @@ def load_checkpoint(data: bytes, expected_x_dim=None, expected_cond_dim=None) ->
         raise CheckpointError(f"checkpoint truncated: header implies {expected} bytes, got {len(data)}")
     if expected < len(data):
         raise CheckpointError("trailing bytes after checkpoint payload")
-    for k, m in enumerate(alternating_masks(x_dim, n_blocks)):
-        if not np.array_equal(r.array(x_dim, np.uint8), m):
-            raise CheckpointError(f"checkpoint mask of block {k} is not the alternating half layout")
     norms = [r.array(d, "<f8") for d in (x_dim, x_dim, cond_dim, cond_dim)]
     out = CouplingFlow(x_dim, cond_dim, cfg)
     # the exact length check makes the parameter vector the payload's tail; copy it in once
@@ -548,4 +532,4 @@ def _checkpoint_length(x_dim: int, cond_dim: int, n_blocks: int, hidden) -> int:
     for changed, count in ((1, n_hi), (0, n_blocks - n_hi)):
         floats += count * sum(math.prod(s) for s in net_shapes(x_dim, cond_dim, hidden, changed))
     header = len(CHECKPOINT_MAGIC) + 5 * 4 + 8 + 4 * len(hidden)
-    return header + n_blocks * x_dim + 8 * floats
+    return header + 8 * floats

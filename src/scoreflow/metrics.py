@@ -150,9 +150,10 @@ def evaluate_testset(
     Stage s draws `n_samples` from flow s-1 only if a metric reads them:
     at every stage when the problem has an analytic oracle, else at the
     final stage alone; stages 1..L of an oracle-free problem are scored
-    from their trajectory point and get NaN moment errors. Each draw has
-    its own stream `rng.child(t).child(2, s)`, so skipping one moves no
-    other draw."""
+    from their trajectory point and get NaN moment errors. Stage s draws
+    from `rng.child(t).child(2, s)`, which is the stream (2, s) for every
+    observation t, since `Rng.child` does not nest (see its table). Each
+    stage still has its own stream, so skipping one moves no other draw."""
     EvalConfig(n_test, n_samples, psnr_range)  # its range rules, before any work
     _check_ssim_fits(problem)
     L = pipeline.n_stages

@@ -187,11 +187,9 @@ def save_pipeline(pipeline: TrainedPipeline, out_dir) -> None:
     out.parent.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format_version": BUNDLE_FORMAT_VERSION,
-        "n_stages": pipeline.n_stages,
         "n_flows": len(pipeline.flows),
         "x_dim": pipeline.problem.x_dim,
         "y_dim": pipeline.problem.y_dim,
-        "cond_dim": pipeline.problem.x_dim,
         "seed": pipeline.seed,
         "config_hash": pipeline.config_hash,
         "problem": pipeline.problem_config,
@@ -234,7 +232,7 @@ def load_pipeline(bundle_dir, problem: InverseProblem | None = None) -> TrainedP
         raise CheckpointError(f"bundle manifest {manifest_path} lacks a valid {', '.join(bad)}")
     version = manifest.get("format_version")
     if version != BUNDLE_FORMAT_VERSION:
-        raise PipelineError(f"unsupported bundle format {version}, expected {BUNDLE_FORMAT_VERSION}")
+        raise CheckpointError(f"unsupported bundle format {version}, expected {BUNDLE_FORMAT_VERSION}")
     try:
         if problem is None:
             problem = problem_from_config(manifest["problem"])

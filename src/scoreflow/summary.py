@@ -30,7 +30,7 @@ _KEY_ADVANCE = 1
 
 
 class DatasetError(ValueError):
-    """Raised for malformed dataset payloads or stage mismatches."""
+    """Raised for malformed dataset payloads."""
 
 
 @dataclass
@@ -149,13 +149,11 @@ def save_dataset(ds: FiducialDataset) -> bytes:
     return b"".join([DATASET_MAGIC, header, *arrays])
 
 
-def load_dataset(data: bytes, expected_stage: int | None = None) -> FiducialDataset:
+def load_dataset(data: bytes) -> FiducialDataset:
     r = ByteReader(data, DATASET_MAGIC, DatasetError, "dataset")
     version, stage, n, x_dim, y_dim, n_val = r.unpack("<IIIIII")
     if version != DATASET_VERSION:
         raise DatasetError(f"unsupported dataset version {version}, expected {DATASET_VERSION}")
-    if expected_stage is not None and stage != expected_stage:
-        raise DatasetError(f"dataset is for stage {stage}, expected stage {expected_stage}")
     if min(x_dim, y_dim) < 1:
         raise DatasetError(f"dataset x_dim and y_dim must be at least 1, got {x_dim} and {y_dim}")
     if n_val > n:

@@ -6,6 +6,7 @@ import yaml
 
 import scoreflow.cli as sf_cli
 import scoreflow.metrics as sf_metrics
+import scoreflow.pipeline as sf_pipeline
 from scoreflow.cli import main
 from scoreflow.config import load_config, problem_from_config
 from scoreflow.flow import load_checkpoint, save_checkpoint
@@ -45,8 +46,8 @@ class TestGenerate:
         cfg = write_cfg(tmp_path)
         out = tmp_path / "out"
         assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
-        ds = load_dataset((out / "dataset_stage000.bin").read_bytes(), expected_stage=0)
-        assert ds.n_records == 12
+        ds = load_dataset((out / "dataset_stage000.bin").read_bytes())
+        assert (ds.stage, ds.n_records) == (0, 12)
         assert (out / "dataset_manifest.json").exists()
 
     def test_rerun_is_bitwise_identical(self, tmp_path):
@@ -113,6 +114,55 @@ class TestTrain:
         first = (out / "bundle" / "flow_001.ckpt").read_bytes()
         main(["train", "--config", str(cfg), "--out", str(out)])
         assert (out / "bundle" / "flow_001.ckpt").read_bytes() == first
+
+
+class TestDivergence:
+    """A run that diverges exits 2 after saving the flows that finished, if any."""
+
+    def _train(self, tmp_path, capsys, extra=None):
+        cfg = write_cfg(tmp_path, extra)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert sum(line.startswith("runtime error: ") for line in err) == 1
+        return cfg, out, err
+
+    def test_partial_bundle_after_advance_diverges(self, tmp_path, capsys, monkeypatch):
+        real, calls = sf_pipeline.advance_stage, []
+
+        def diverging(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise FloatingPointError("non-finite fiducial update for records [0]")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sf_pipeline, "advance_stage", diverging)
+        cfg, out, err = self._train(tmp_path, capsys, {"training": {"stages": 2}})
+        bundle = out / "bundle"
+        assert err[-2] == f"partial bundle with 2 flows saved to {bundle}"
+        assert err[-1] == (
+            "runtime error: fiducial advancement diverged after stage 1: non-finite fiducial update for records [0]"
+        )
+        assert sorted(f.name for f in bundle.iterdir()) == ["flow_000.ckpt", "flow_001.ckpt", "manifest.json"]
+        ypath = tmp_path / "y.txt"
+        np.savetxt(ypath, np.arange(4, dtype=float))
+        rc = main([
+            "infer", "--config", str(cfg), "--bundle", str(bundle), "--y", str(ypath), "--out", str(tmp_path / "inf"),
+        ])
+        assert rc == 0
+        traj = np.loadtxt(tmp_path / "inf" / "trajectory.csv", delimiter=",", skiprows=2)
+        assert traj[:, 0].tolist() == [0, 1]
+
+    def test_no_bundle_when_stage_0_diverges(self, tmp_path, capsys, monkeypatch):
+        def diverging(*args, **kwargs):
+            raise FloatingPointError("non-finite flow training loss")
+
+        monkeypatch.setattr(sf_pipeline, "train_flow", diverging)
+        _, out, err = self._train(tmp_path, capsys)
+        assert err[-1] == "runtime error: flow training diverged at stage 0: non-finite flow training loss"
+        assert not any(line.startswith("partial bundle") for line in err)
+        assert list(out.iterdir()) == []
 
 
 class TestInferAndEvaluate:
@@ -284,6 +334,22 @@ class TestBadInputs:
 
         assert "scale" in self._infer(tmp_path, capsys, corrupt=corrupt)
 
+    def test_unsupported_bundle_format(self, tmp_path, capsys):
+        def corrupt(bundle):
+            edit_manifest(bundle, lambda m: m.update(format_version=7))
+
+        assert self._infer(tmp_path, capsys, corrupt=corrupt) == "error: unsupported bundle format 7, expected 1"
+
+    def test_version_1_checkpoint(self, tmp_path, capsys):
+        def corrupt(bundle):
+            blob = (bundle / "flow_000.ckpt").read_bytes()
+            header = 8 + 5 * 4 + 8 + 4 * 1  # magic, u32 header, s_max, one hidden width
+            masks = bytes([1, 0, 0, 1])  # version 1's kept-half masks of the two blocks
+            v1 = blob[:8] + (1).to_bytes(4, "little") + blob[12:header] + masks + blob[header:]
+            (bundle / "flow_000.ckpt").write_bytes(v1)
+
+        line = self._infer(tmp_path, capsys, corrupt=corrupt)
+        assert line == "error: unsupported checkpoint version 1, expected 2"
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_non_positive_sample_count(self, tmp_path, capsys, n):

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from scoreflow.flow import (
     CouplingFlow,
     FlowConfig,
     TrainConfig,
+    _checkpoint_length,
     load_checkpoint,
     save_checkpoint,
     train_flow,
@@ -575,14 +577,34 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="16.*32"):
             load_checkpoint(blob, expected_x_dim=32)
 
-    def test_non_alternating_mask_rejected(self):
-        flow = small_flow(x_dim=4, cond_dim=2, n_blocks=2, hidden=(8,))
-        blob = bytearray(save_checkpoint(flow))
-        masks_at = 8 + 5 * 4 + 8 + 4 * 1  # magic, u32 header, s_max, one hidden width
-        assert blob[masks_at + 4 : masks_at + 8] == bytes([0, 0, 1, 1])  # block 1 keeps the hi half
-        blob[masks_at + 4 : masks_at + 8] = bytes([0, 1, 0, 1])
-        with pytest.raises(CheckpointError, match="mask of block 1"):
-            load_checkpoint(bytes(blob))
+    def test_v2_byte_layout(self):
+        flow = small_flow(x_dim=2, cond_dim=1, n_blocks=1, hidden=(3,), seed=21)
+        flow.set_normalization([0.5, -0.5], [2.0, 3.0], [0.25], [4.0])
+        blob = save_checkpoint(flow)
+        # block 0 keeps lo (1 wide) and transforms hi (1 wide): W0 (1 + 1, 3), b0 (3), W1 (3, 2), b1 (2)
+        assert flow.params.size == 6 + 3 + 6 + 2
+        header = 8 + 5 * 4 + 8 + 4 * 1  # magic, u32 header, s_max, one hidden width
+        assert len(blob) == header + 8 * (2 + 2 + 1 + 1 + 17)
+        assert blob[:8] == b"SFLOWCKP"
+        assert struct.unpack("<IIIII", blob[8:28]) == (2, 2, 1, 1, 1)  # version, x_dim, cond_dim, n_blocks, n_hidden
+        assert struct.unpack("<dI", blob[28:header]) == (2.0, 3)  # s_max, the hidden width
+        floats = np.frombuffer(blob, "<f8", offset=header)
+        assert np.array_equal(floats[:6], [0.5, -0.5, 2.0, 3.0, 0.25, 4.0])  # x_mean, x_scale, cond_mean, cond_scale
+        assert np.array_equal(floats[6:], flow.params)
+
+    @pytest.mark.parametrize("hidden", [(), (4,), (3, 5)])
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3])
+    @pytest.mark.parametrize("x_dim", [1, 2, 5])
+    def test_length_and_roundtrip_over_shapes(self, x_dim, n_blocks, hidden):
+        flow = small_flow(x_dim=x_dim, cond_dim=2, n_blocks=n_blocks, hidden=hidden, seed=x_dim + 10 * n_blocks)
+        flow.set_normalization(0.1 * np.arange(x_dim), 1.0 + np.arange(x_dim), [0.2, -0.3], [0.5, 2.5])
+        blob = save_checkpoint(flow)
+        assert len(blob) == _checkpoint_length(x_dim, 2, n_blocks, hidden)
+        back = load_checkpoint(blob, expected_x_dim=x_dim, expected_cond_dim=2)
+        assert (back.hidden, len(back.nets), back.changed) == (hidden, n_blocks, flow.changed)
+        for name in ("params", "x_mean", "x_scale", "cond_mean", "cond_scale"):
+            assert np.array_equal(getattr(back, name), getattr(flow, name)), name
+        assert save_checkpoint(back) == blob
 
     @staticmethod
     def _forbid_nets(monkeypatch):
@@ -610,6 +632,16 @@ class TestCheckpoint:
         self._forbid_nets(monkeypatch)
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(bytes(blob))
+
+    def test_v1_checkpoint_refused_before_nets_are_built(self, monkeypatch):
+        # version 1 stored each block's kept-half mask, n_blocks * x_dim bytes, after the hidden widths
+        blob = save_checkpoint(small_flow(x_dim=4, cond_dim=2, n_blocks=2, hidden=(8,)))
+        header = 8 + 5 * 4 + 8 + 4 * 1  # magic, u32 header, s_max, one hidden width
+        masks = bytes([1, 1, 0, 0, 0, 0, 1, 1])  # block 0 keeps lo, block 1 keeps hi
+        v1 = blob[:8] + struct.pack("<I", 1) + blob[12:header] + masks + blob[header:]
+        self._forbid_nets(monkeypatch)
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1, expected 2"):
+            load_checkpoint(v1)
 
     @pytest.mark.parametrize("s_max", [0.0, -2.0, np.inf, np.nan])
     def test_bad_s_max_rejected(self, s_max):

@@ -69,11 +69,10 @@ def test_load_checkpoint_raises_only_checkpoint_error(data):
 @FUZZ
 @given(mutated(DATASET))
 def test_load_dataset_raises_only_dataset_error(data):
-    for expected in ({}, {"expected_stage": 0}):
-        try:
-            load_dataset(data, **expected)
-        except DatasetError:
-            pass
+    try:
+        load_dataset(data)
+    except DatasetError:
+        pass
 
 
 def test_payloads_are_valid():

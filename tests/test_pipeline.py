@@ -1,10 +1,11 @@
+import json
 import os
 
 import numpy as np
 import pytest
 
 import scoreflow.pipeline as sf_pipeline
-from scoreflow.flow import save_checkpoint
+from scoreflow.flow import CheckpointError, CouplingFlow, save_checkpoint
 from scoreflow.numerics import Rng, ShapeError, SpdMatrix
 from scoreflow.pipeline import (
     FlowConfig,
@@ -179,6 +180,21 @@ class TestBundle:
         save_pipeline(pipe, tmp_path / "b")
         names = sorted(f.name for f in (tmp_path / "b").iterdir())
         assert names == ["flow_000.ckpt", "flow_001.ckpt", "flow_002.ckpt", "manifest.json"]
+
+    def test_manifest_keys(self, tmp_path):
+        p = tiny_problem()
+        save_pipeline(TrainedPipeline(problem=p, flows=[CouplingFlow(2, 2, FAST_FLOW)], seed=3), tmp_path / "b")
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        keys = ["config_hash", "format_version", "n_flows", "problem", "seed", "train_config", "x_dim", "y_dim"]
+        assert sorted(manifest) == keys
+
+    def test_unsupported_format_version(self, tmp_path):
+        p = tiny_problem()
+        save_pipeline(TrainedPipeline(problem=p, flows=[CouplingFlow(2, 2, FAST_FLOW)], seed=3), tmp_path / "b")
+        path = tmp_path / "b" / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 7}))
+        with pytest.raises(CheckpointError, match="unsupported bundle format 7, expected 1"):
+            load_pipeline(tmp_path / "b", problem=p)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(PipelineError, match="manifest"):

@@ -358,11 +358,6 @@ class TestSerialization:
         with pytest.raises(DatasetError, match="trailing"):
             load_dataset(blob + b"\x00")
 
-    def test_stage_mismatch(self):
-        blob = save_dataset(self._dataset())
-        with pytest.raises(DatasetError, match="stage 0.*stage 2"):
-            load_dataset(blob, expected_stage=2)
-
     def test_version_mismatch(self):
         blob = bytearray(save_dataset(self._dataset()))
         blob[8] = 77
