@@ -1,4 +1,5 @@
-"""Dense linear algebra, reproducible RNG streams, and binary payload reading.
+"""Dense linear algebra, reproducible RNG streams, binary payload reading,
+and the one thread pool of the package.
 
 All numerics are float64. Arrays are plain numpy ndarrays in row-major
 order; shape checks happen at module boundaries so downstream code can
@@ -7,6 +8,7 @@ assume consistent dimensions.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -178,3 +180,38 @@ class ByteReader:
     def finish(self) -> None:
         if self.off != len(self.data):
             raise self.error(f"trailing bytes after {self.what} payload")
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def ordered_map(fn, items):
+    """Yield fn(item) for each of the sequence `items`, in item order, up to w at once.
+
+    w = min(usable_cpus(), len(items)). This thread runs item i while a
+    pool of w - 1 threads runs items i+1..i+w-1, so at most w results
+    are alive at once, and threads pay only where `fn` releases the GIL
+    (numpy does, inside its kernels). At w <= 1 no thread starts and
+    `concurrent.futures` is not imported. The pool lives only inside the
+    call, and an exception raised by `fn` on any thread reaches the caller
+    as the same object once the pool's threads are joined. `fn` must not
+    call `ordered_map` itself, so that pools never nest.
+    """
+    w = min(usable_cpus(), len(items))
+    if w <= 1:
+        for item in items:
+            yield fn(item)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # imported here to keep it out of start-up
+
+    with ThreadPoolExecutor(w - 1) as pool:
+        for i in range(0, len(items), w):
+            rest = [pool.submit(fn, item) for item in items[i + 1 : i + w]]
+            yield fn(items[i])
+            for future in rest:
+                yield future.result()

@@ -11,14 +11,13 @@ posterior-mean estimate and recomputing the scores.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .flow import CouplingFlow, TrainConfig
-from .numerics import ByteReader, Rng
+from .numerics import ByteReader, Rng, ordered_map
 from .problems import InverseProblem
 
 DATASET_MAGIC = b"SFIDDATA"
@@ -89,14 +88,6 @@ def build_stage0(
     return _scored(0, problem, x_true, y, x_fid, int(np.floor(val_fraction * n_train)))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def advance_stage(
     ds: FiducialDataset, flow: CouplingFlow, problem: InverseProblem, n_s: int, rng: Rng
 ) -> FiducialDataset:
@@ -119,21 +110,11 @@ def advance_stage(
         z[i] = rng.child(_KEY_ADVANCE, next_stage, i).standard_normal((n_s, x_dim))
     terms = flow.condition(ds.ybar)
     update = np.zeros((n, x_dim))
-    # The slots' passes are independent and numpy releases the GIL inside them,
-    # so up to w run at once: this thread runs slot i while a pool runs slots
-    # i+1..i+w-1. The sum is still taken here in slot order, which keeps the
-    # update bitwise the same for every w. Workers call the flow's private pass
-    # body, never a public method that a caller may have wrapped.
-    w = min(_usable_cpus(), n_s)
-    from concurrent.futures import ThreadPoolExecutor  # imported here to keep it out of start-up
-
-    # A pool starts its threads on `submit`; at w = 1 nothing is submitted, so no thread starts.
-    with ThreadPoolExecutor(max(w - 1, 1)) as pool:
-        for i in range(0, n_s, w):
-            rest = [pool.submit(flow._inverse, z[:, k, :], terms) for k in range(i + 1, min(i + w, n_s))]
-            update += flow._inverse(z[:, i, :], terms)[0]
-            for future in rest:
-                update += future.result()[0]
+    # summed here in slot order, so the update is bitwise the same for every
+    # CPU count; workers call the flow's private pass body, never a public
+    # method that a caller may have wrapped or that would start a pool itself
+    for x, _ in ordered_map(lambda k: flow._inverse(z[:, k, :], terms), range(n_s)):
+        update += x
     update /= n_s
     bad = np.flatnonzero(~np.all(np.isfinite(update), axis=1))
     if bad.size:

@@ -1,10 +1,13 @@
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from scoreflow.flow import (
+    INVERSE_ROWS,
     LR_FACTOR,
     LR_PATIENCE,
     MIN_LR,
@@ -289,6 +292,83 @@ class TestMatchesMaskReference:
             flow.inverse(np.zeros((3, 3)), np.zeros((3, 3)))  # conditions, not their terms
         with pytest.raises(ShapeError):
             flow.condition(np.zeros((2, 4)))
+
+
+def set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+class TestBlockedInverse:
+    """`inverse` over many rows runs `INVERSE_ROWS`-row blocks on every usable CPU."""
+
+    def _flow(self, x_dim, seed=90):
+        flow = small_flow(x_dim=x_dim, cond_dim=4, n_blocks=3, hidden=(16, 16), seed=seed, randomize=0.3)
+        rng = Rng(seed + 1)
+        flow.set_normalization(rng.standard_normal(x_dim), np.exp(0.3 * rng.standard_normal(x_dim)),
+                               rng.standard_normal(4), np.exp(0.3 * rng.standard_normal(4)))
+        return flow, rng
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_row"])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000, 2000])
+    @pytest.mark.parametrize("x_dim", [16, 256])
+    def test_bitwise_equal_to_one_pass(self, x_dim, n, shared):
+        flow, rng = self._flow(x_dim)
+        z = rng.standard_normal((n, x_dim))
+        terms = flow.condition(rng.standard_normal((1 if shared else n, 4)))
+        x, log_det = flow.inverse(z, terms)
+        x_one, log_det_one = flow._inverse(z, terms)
+        assert np.array_equal(x, x_one) and np.array_equal(log_det, log_det_one)
+
+    @pytest.mark.parametrize("x_dim", [1, 3, 5, 16])
+    def test_same_for_any_cpu_count(self, monkeypatch, x_dim):
+        flow, rng = self._flow(x_dim)
+        z = rng.standard_normal((2000, x_dim))
+        terms = flow.condition(rng.standard_normal((2000, 4)))
+        got = []
+        for cpus in (1, 2, 3):
+            set_cpus(monkeypatch, cpus)
+            got.append(flow.inverse(z, terms))
+        for x, log_det in got[1:]:
+            assert np.array_equal(x, got[0][0]) and np.array_equal(log_det, got[0][1])
+
+    @pytest.mark.parametrize("n, threads", [(1, 1), (INVERSE_ROWS, 1), (INVERSE_ROWS + 1, 1), (1000, 2)])
+    def test_threads_by_row_count(self, monkeypatch, n, threads):
+        flow, rng = self._flow(3)
+        set_cpus(monkeypatch, 2)
+        seen, body = [], CouplingFlow._inverse
+
+        def recording(flow, z, terms):
+            seen.append((threading.get_ident(), len(z)))
+            return body(flow, z, terms)
+
+        monkeypatch.setattr(CouplingFlow, "_inverse", recording)
+        if threads == 1:
+            def no_thread(thread):
+                raise AssertionError("a pass over at most INVERSE_ROWS + 1 rows started a thread")
+
+            monkeypatch.setattr(threading.Thread, "start", no_thread)
+        flow.inverse(rng.standard_normal((n, 3)), flow.condition(rng.standard_normal((1, 4))))
+        assert len({ident for ident, _ in seen}) == threads
+        rows = [r for _, r in seen]
+        assert sum(rows) == n and max(rows) <= INVERSE_ROWS + 1 and (threads == 1 or min(rows) > 1)
+
+    def test_worker_error_reaches_the_caller_unchanged(self, monkeypatch):
+        flow, rng = self._flow(3)
+        set_cpus(monkeypatch, 2)
+        err = FloatingPointError("non-finite activations in flow inverse")
+        body = CouplingFlow._inverse
+
+        def failing_in_workers(flow, z, terms):
+            if threading.current_thread() is not threading.main_thread():
+                raise err
+            return body(flow, z, terms)
+
+        monkeypatch.setattr(CouplingFlow, "_inverse", failing_in_workers)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError) as info:
+            flow.inverse(rng.standard_normal((1000, 3)), flow.condition(rng.standard_normal((1, 4))))
+        assert info.value is err
+        assert threading.active_count() == before
 
 
 class TestNllLoss:

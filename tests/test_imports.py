@@ -1,5 +1,6 @@
-"""What a fresh interpreter loads: SciPy and the thread pool of `advance_stage` are imported by the
-functions that use them, never at import time.
+"""What a fresh interpreter loads: SciPy and the thread pool of `numerics.ordered_map` are imported by
+the functions that use them, never at import time, and the pool only where a call has more than one
+item to run on more than one CPU.
 
 Each check runs in its own interpreter, since this test process has SciPy loaded already.
 """
@@ -33,11 +34,12 @@ def run_fresh(tmp_path, body: str) -> None:
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-def write_cfg(tmp_path, problem: dict) -> Path:
+def write_cfg(tmp_path, problem: dict, **training) -> Path:
     raw = {
         "problem": problem,
         "flow": {"n_blocks": 2, "hidden": [8]},
-        "training": {"n_train": 12, "stages": 1, "max_epochs": 2, "patience": 2, "n_s_train": 4, "n_s_infer": 8},
+        "training": {"n_train": 12, "stages": 1, "max_epochs": 2, "patience": 2, "n_s_train": 4, "n_s_infer": 8,
+                     **training},
     }
     path = tmp_path / f"{problem['kind']}.yaml"
     path.write_text(yaml.safe_dump(raw))
@@ -59,6 +61,30 @@ def test_import_and_set_up_load_no_thread_pool(tmp_path):
     run_fresh(tmp_path, f"""
 problem_from_config(load_config({str(toy)!r}).problem)
 assert "concurrent.futures" not in sys.modules
+""")
+
+
+def test_small_train_and_infer_start_no_thread_pool(tmp_path):
+    # One slot per advance, and inverse passes of at most 256 rows, leave nothing to run beside the
+    # calling thread, even on 4 CPUs. SciPy's first use imports `concurrent.futures` (through
+    # numpy.testing) but not its pool module `concurrent.futures.thread`, which `ordered_map` imports.
+    cfg = write_cfg(tmp_path, {"kind": "linear_gaussian", "x_dim": 2, "y_dim": 4}, n_s_train=1, n_s_infer=256)
+    (tmp_path / "y.txt").write_text("0.1\n" * 4)
+    run_fresh(tmp_path, f"""
+import os, threading
+os.sched_getaffinity = lambda pid: set(range(4))
+start = threading.Thread.start
+def no_thread(thread):
+    raise AssertionError("a thread started")
+threading.Thread.start = no_thread
+from scoreflow.cli import main
+infer = ["infer", "--config", {str(cfg)!r}, "--bundle", "out/bundle", "--y", "y.txt", "--out", "inf"]
+assert main(["train", "--config", {str(cfg)!r}, "--out", "out"]) == 0
+assert main(infer + ["--n-samples", "100"]) == 0
+assert "concurrent.futures.thread" not in sys.modules
+threading.Thread.start = start
+assert main(infer + ["--n-samples", "1000"]) == 0
+assert "concurrent.futures.thread" in sys.modules
 """)
 
 

@@ -1,3 +1,8 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -6,7 +11,13 @@ from scoreflow.numerics import (
     Rng,
     SpdMatrix,
     cholesky,
+    ordered_map,
+    usable_cpus,
 )
+
+
+def set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 class TestCholesky:
@@ -88,3 +99,75 @@ class TestSpdMatrix:
         m = SpdMatrix.from_dense(a.T @ a + np.eye(4))
         b = rng.standard_normal(4)
         assert np.linalg.norm(m.dense() @ m.solve(b) - b) < 1e-10
+
+
+class TestOrderedMap:
+    def test_usable_cpus_follows_affinity(self, monkeypatch):
+        set_cpus(monkeypatch, 3)
+        assert usable_cpus() == 3
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_results_in_item_order(self, monkeypatch, cpus):
+        set_cpus(monkeypatch, cpus)
+
+        def slow_then_fast(i):
+            time.sleep(0.002 * (i % 3 == 1))  # the later items of a batch often finish first
+            return 10 * i
+
+        assert list(ordered_map(slow_then_fast, range(11))) == [10 * i for i in range(11)]
+
+    @pytest.mark.parametrize("cpus, n", [(2, 9), (3, 10), (5, 4), (8, 30)])
+    def test_at_most_w_calls_in_flight(self, monkeypatch, cpus, n):
+        set_cpus(monkeypatch, cpus)
+        lock, state, threads = threading.Lock(), {"now": 0, "max": 0}, set()
+
+        def counted(i):
+            with lock:
+                state["now"] += 1
+                state["max"] = max(state["max"], state["now"])
+                threads.add(threading.get_ident())
+            time.sleep(0.001)
+            with lock:
+                state["now"] -= 1
+            return i
+
+        assert list(ordered_map(counted, range(n))) == list(range(n))
+        w = min(cpus, n)
+        assert state["max"] <= w
+        assert 2 <= len(threads) <= w
+
+    @pytest.mark.parametrize("cpus, n", [(1, 5), (4, 0), (4, 1)])
+    def test_one_worker_starts_no_thread(self, monkeypatch, cpus, n):
+        set_cpus(monkeypatch, cpus)
+
+        def no_thread(thread):
+            raise AssertionError("ordered_map started a thread with one worker")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert list(ordered_map(lambda i: (i, threading.get_ident()), range(n))) == [
+            (i, threading.get_ident()) for i in range(n)
+        ]
+
+    @pytest.mark.parametrize("failing", [16, 17, 39], ids=["calling_thread", "worker", "last_worker"])
+    def test_error_propagates_and_no_thread_is_left(self, monkeypatch, failing):
+        set_cpus(monkeypatch, 4)
+        err = FloatingPointError("boom")
+        calls = []
+
+        def fn(i):
+            calls.append(i)
+            if i == failing:
+                raise err
+            return np.ones(100) @ np.ones(100)
+
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.raises(FloatingPointError) as info:
+                list(ordered_map(fn, range(40)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert info.value is err
+        assert threading.active_count() == before
+        assert max(calls) < failing // 4 * 4 + 4  # no batch after the failing one started
