@@ -55,14 +55,8 @@ def cmd_generate(args) -> int:
     rng = Rng(cfg.seed)
     ds = build_stage0(problem, n_train, rng.child(0), val_fraction=cfg.training["val_fraction"])
     (out / "dataset_stage000.bin").write_bytes(save_dataset(ds))
-    manifest = {
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "n_records": ds.n_records,
-        "stage": ds.stage,
-        "x_dim": problem.x_dim,
-        "y_dim": problem.y_dim,
-    }
+    # the record count, stage and dims are in the dataset's own header
+    manifest = {"config_hash": cfg.config_hash(), "seed": cfg.seed}
     (out / "dataset_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     _progress(f"wrote {out / 'dataset_stage000.bin'}")
     return 0
@@ -107,6 +101,17 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_bundle(bundle_dir: str, cfg: RunConfig) -> TrainedPipeline:
+    """The bundle's pipeline, refused unless the config's `problem` block is the one it was trained on."""
+    pipeline = load_pipeline(bundle_dir)
+    bundle, config = pipeline.problem_config, cfg.problem
+    diffs = [f"problem.{k} is {bundle.get(k, 'absent')} in the bundle and {config.get(k, 'absent')} in the config"
+             for k in sorted(bundle.keys() | config.keys()) if bundle.get(k) != config.get(k)]
+    if diffs:
+        raise ConfigError(f"bundle {bundle_dir} was trained on another problem: {'; '.join(diffs)}")
+    return pipeline
+
+
 def _load_y(path: str, y_dim: int) -> np.ndarray:
     try:
         vals = np.loadtxt(path, delimiter=None).ravel()
@@ -123,8 +128,8 @@ def cmd_infer(args) -> int:
     cfg = _effective_config(args)
     if args.n_samples < 1:
         raise ConfigError(f"--n-samples must be >= 1, got {args.n_samples}")
+    pipeline = _load_bundle(args.bundle, cfg)
     out = _out_dir(cfg)
-    pipeline = load_pipeline(args.bundle)
     y = _load_y(args.y, pipeline.problem.y_dim)
     _progress(f"inferring with {pipeline.n_stages} fiducial updates, {args.n_samples} samples")
     ens = infer(pipeline, y, args.n_samples, Rng(cfg.seed).child(0))
@@ -140,18 +145,12 @@ def cmd_infer(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _effective_config(args)
+    pipeline = _load_bundle(args.bundle, cfg)
     out = _out_dir(cfg)
-    pipeline = load_pipeline(args.bundle)
-    problem = problem_from_config(cfg.problem)
-    if (pipeline.problem.x_dim, pipeline.problem.y_dim) != (problem.x_dim, problem.y_dim):
-        raise ConfigError(
-            f"bundle problem dims ({pipeline.problem.x_dim}, {pipeline.problem.y_dim}) do not "
-            f"match evaluation config dims ({problem.x_dim}, {problem.y_dim})"
-        )
     rng = Rng(cfg.seed)
     report = evaluate_testset(
         pipeline,
-        problem,
+        pipeline.problem,
         cfg.eval["n_test"],
         rng.child(0),
         n_samples=cfg.eval["n_samples"],

@@ -512,16 +512,12 @@ def save_checkpoint(flow: CouplingFlow) -> bytes:
     return b"".join(parts)
 
 
-def load_checkpoint(data: bytes, expected_x_dim=None, expected_cond_dim=None) -> CouplingFlow:
+def load_checkpoint(data: bytes) -> CouplingFlow:
     """Reconstruct a flow from `save_checkpoint` output, validating layout."""
     r = ByteReader(data, CHECKPOINT_MAGIC, CheckpointError, "checkpoint")
     version, x_dim, cond_dim, n_blocks, n_hidden = r.unpack("<IIIII")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-    if expected_x_dim is not None and x_dim != expected_x_dim:
-        raise CheckpointError(f"checkpoint x_dim {x_dim} does not match expected {expected_x_dim}")
-    if expected_cond_dim is not None and cond_dim != expected_cond_dim:
-        raise CheckpointError(f"checkpoint cond_dim {cond_dim} does not match expected {expected_cond_dim}")
     (s_max,) = r.unpack("<d")
     hidden = r.unpack(f"<{n_hidden}I")
     try:

@@ -15,6 +15,7 @@ import numpy as np
 
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+SYM_TOL = 1e-10  # largest |m - m.T| that `cholesky` accepts, relative to max(|m|, 1)
 
 
 class ShapeError(ValueError):
@@ -75,13 +76,13 @@ def as_matrix(a, name="array") -> np.ndarray:
     return a
 
 
-def cholesky(m, sym_tol: float = 1e-10) -> np.ndarray:
+def cholesky(m) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix."""
     m = as_matrix(m, "m")
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"matrix must be square, got {m.shape}")
     denom = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.T).max() > sym_tol * denom:
+    if np.abs(m - m.T).max() > SYM_TOL * denom:
         raise NotSpdError("matrix is not symmetric within tolerance")
     try:
         return np.linalg.cholesky(m)
@@ -109,8 +110,8 @@ class SpdMatrix:
         return self.chol.shape[0]
 
     @classmethod
-    def from_dense(cls, m, sym_tol: float = 1e-10) -> "SpdMatrix":
-        return cls(cholesky(m, sym_tol=sym_tol))
+    def from_dense(cls, m) -> "SpdMatrix":
+        return cls(cholesky(m))
 
     @classmethod
     def identity(cls, d: int) -> "SpdMatrix":

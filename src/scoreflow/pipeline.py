@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import ConfigError, from_block, merge_block, problem_from_config
 from .flow import CheckpointError, CouplingFlow, FlowConfig, TrainConfig, load_checkpoint, save_checkpoint, train_flow
-from .numerics import Rng, ShapeError
+from .numerics import Rng
 from .problems import InverseProblem
 from .summary import FiducialDataset, advance_stage, build_stage0
 
@@ -144,9 +144,6 @@ def train_pipeline(
 def intermediate_trajectory(pipeline: TrainedPipeline, y, rng: Rng):
     """Fiducials and scores (x_i, ybar_i) for i = 0..L along the inference loop."""
     problem = pipeline.problem
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (problem.y_dim,):
-        raise ShapeError(f"y must have shape ({problem.y_dim},), got {y.shape}")
     n_s = pipeline.train_config.n_s_infer  # draws averaged per fiducial update
     L = pipeline.n_stages
     x = problem.default_fiducial()
@@ -250,9 +247,13 @@ def load_pipeline(bundle_dir, problem: InverseProblem | None = None) -> TrainedP
         path = bundle / f"flow_{j:03d}.ckpt"
         if not path.exists():
             raise PipelineError(f"missing checkpoint {path.name} in bundle")
-        flows.append(
-            load_checkpoint(path.read_bytes(), expected_x_dim=problem.x_dim, expected_cond_dim=problem.x_dim)
-        )
+        flow = load_checkpoint(path.read_bytes())
+        if (flow.x_dim, flow.cond_dim) != (problem.x_dim, problem.x_dim):
+            raise CheckpointError(
+                f"checkpoint {path.name} has (x_dim, cond_dim) ({flow.x_dim}, {flow.cond_dim}), "
+                f"the problem needs ({problem.x_dim}, {problem.x_dim})"
+            )
+        flows.append(flow)
     return TrainedPipeline(
         problem=problem,
         flows=flows,

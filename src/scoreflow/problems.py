@@ -152,7 +152,7 @@ class LinearGaussianProblem(InverseProblem):
         return AnalyticPosterior(mean, SpdMatrix.from_dense(0.5 * (cov + cov.T)))
 
 
-def gaussian_kernel_2d(size=3, sigma=1.0) -> np.ndarray:
+def gaussian_kernel_2d(size: int, sigma: float) -> np.ndarray:
     """Normalized symmetric 2-D Gaussian kernel."""
     half = size // 2
     ax = np.arange(-half, half + 1, dtype=np.float64)
@@ -224,30 +224,29 @@ class NonlinearToyProblem(InverseProblem):
 
         return convolve(img, self.kernel, mode="constant", cval=0.0)
 
-    def forward(self, x):
-        x = self._check_x(x)
-        img = x.reshape(self.grid, self.grid)
-        v = np.tanh(self.nonlin_scale * self._blur(img))
-        return v[: self.observed_rows].ravel()
+    def _activation(self, x):
+        """tanh(alpha * blur(x)) on the whole grid: the forward map before rows are dropped."""
+        return np.tanh(self.nonlin_scale * self._blur(self._check_x(x).reshape(self.grid, self.grid)))
 
-    def forward_jvp(self, x, u):
-        """Directional derivative of the forward map: J(x) u."""
-        x = self._check_x(x)
-        u = self._check_x(u)
-        pre = self.nonlin_scale * self._blur(x.reshape(self.grid, self.grid))
-        deriv = self.nonlin_scale * (1.0 - np.tanh(pre) ** 2)
-        du = deriv * self._blur(u.reshape(self.grid, self.grid))
-        return du[: self.observed_rows].ravel()
-
-    def forward_vjp(self, x, v):
-        """Adjoint action J(x)^T v; the blur is self-adjoint under zero padding."""
-        x = self._check_x(x)
-        v = self._check_y(v)
-        pre = self.nonlin_scale * self._blur(x.reshape(self.grid, self.grid))
-        deriv = self.nonlin_scale * (1.0 - np.tanh(pre) ** 2)
+    def _vjp(self, act, v):
+        """J^T v at the point whose activation is `act`; the blur is self-adjoint under zero padding."""
+        deriv = self.nonlin_scale * (1.0 - act**2)
         full = np.zeros((self.grid, self.grid))
         full[: self.observed_rows] = v.reshape(self.observed_rows, self.grid)
         return self._blur(deriv * full).ravel()
+
+    def forward(self, x):
+        return self._activation(x)[: self.observed_rows].ravel()
+
+    def forward_jvp(self, x, u):
+        """Directional derivative of the forward map: J(x) u."""
+        deriv = self.nonlin_scale * (1.0 - self._activation(x) ** 2)
+        du = deriv * self._blur(self._check_x(u).reshape(self.grid, self.grid))
+        return du[: self.observed_rows].ravel()
+
+    def forward_vjp(self, x, v):
+        """Adjoint action J(x)^T v."""
+        return self._vjp(self._activation(x), self._check_y(v))
 
     def sample_noise(self, rng: Rng):
         return self.noise_std * rng.standard_normal(self.y_dim)
@@ -258,8 +257,9 @@ class NonlinearToyProblem(InverseProblem):
         return -0.5 * (np.sum(r * r) / var + self.y_dim * np.log(var) + self.y_dim * LOG_2PI)
 
     def score(self, x0, y):
-        r = self._check_y(y) - self.forward(x0)
-        return self.forward_vjp(x0, r / self.noise_std**2)
+        y = self._check_y(y)
+        act = self._activation(x0)
+        return self._vjp(act, (y - act[: self.observed_rows].ravel()) / self.noise_std**2)
 
     def sample_prior(self, rng: Rng):
         from scipy.ndimage import gaussian_filter  # on first use, so importing scoreflow loads no SciPy

@@ -9,7 +9,7 @@ import scoreflow.metrics as sf_metrics
 import scoreflow.pipeline as sf_pipeline
 from scoreflow.cli import main
 from scoreflow.config import load_config, problem_from_config
-from scoreflow.flow import load_checkpoint, save_checkpoint
+from scoreflow.flow import CouplingFlow, FlowConfig, load_checkpoint, save_checkpoint
 from scoreflow.numerics import Rng
 from scoreflow.pipeline import train_pipeline
 from scoreflow.summary import load_dataset
@@ -47,8 +47,10 @@ class TestGenerate:
         out = tmp_path / "out"
         assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
         ds = load_dataset((out / "dataset_stage000.bin").read_bytes())
-        assert (ds.stage, ds.n_records) == (0, 12)
-        assert (out / "dataset_manifest.json").exists()
+        # the record count, stage and dims come from the dataset header, not the manifest
+        assert (ds.stage, ds.n_records, ds.x_true.shape[1], ds.y.shape[1]) == (0, 12, 2, 4)
+        manifest = json.loads((out / "dataset_manifest.json").read_text())
+        assert manifest == {"config_hash": load_config(cfg).config_hash(), "seed": 0}
 
     def test_rerun_is_bitwise_identical(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -217,6 +219,37 @@ class TestInferAndEvaluate:
         rc = main(["evaluate", "--config", str(bad), "--bundle", str(bundle), "--out", str(tmp_path / "ev")])
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ["infer", "evaluate"])
+    def test_refuses_config_of_another_problem(self, tmp_path, capsys, command):
+        # same dims, another forward matrix: the bundle's problem is the only one these commands use
+        _, bundle = self._trained(tmp_path)
+        other = write_cfg(tmp_path, {"problem": {"seed": 7}}, name="other.yaml")
+        ypath = tmp_path / "y.txt"
+        np.savetxt(ypath, np.arange(4, dtype=float))
+        out = tmp_path / "o"
+        argv = [command, "--config", str(other), "--bundle", str(bundle), "--out", str(out)]
+        if command == "infer":
+            argv += ["--y", str(ypath)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"error: bundle {bundle} was trained on another problem: "
+            "problem.seed is 2024 in the bundle and 7 in the config"
+        ]
+        assert not out.exists()
+
+    def test_refusal_names_every_differing_key(self, tmp_path, capsys):
+        _, bundle = self._trained(tmp_path)
+        other = write_cfg(tmp_path, {"problem": {"seed": 7, "noise_std": 0.2}}, name="other.yaml")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(other), "--bundle", str(bundle), "--out", str(tmp_path / "o")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.endswith(
+            "problem.noise_std is 0.1 in the bundle and 0.2 in the config; "
+            "problem.seed is 2024 in the bundle and 7 in the config"
+        )
+
 
 class TestErrors:
     def test_missing_config_file(self, tmp_path):
@@ -333,6 +366,14 @@ class TestBadInputs:
             (bundle / "flow_001.ckpt").write_bytes(save_checkpoint(flow))
 
         assert "scale" in self._infer(tmp_path, capsys, corrupt=corrupt)
+
+    def test_swapped_checkpoint_of_other_dims(self, tmp_path, capsys):
+        def corrupt(bundle):
+            (bundle / "flow_001.ckpt").write_bytes(save_checkpoint(CouplingFlow(3, 3, FlowConfig(2, (8,)))))
+
+        line = self._infer(tmp_path, capsys, corrupt=corrupt)
+        assert line == "error: checkpoint flow_001.ckpt has (x_dim, cond_dim) (3, 3), the problem needs (2, 2)"
+        assert not (tmp_path / "inf").exists()
 
     def test_unsupported_bundle_format(self, tmp_path, capsys):
         def corrupt(bundle):

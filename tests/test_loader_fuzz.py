@@ -59,11 +59,10 @@ def mutated(draw, payload: bytes) -> bytes:
 @FUZZ
 @given(mutated(CHECKPOINT))
 def test_load_checkpoint_raises_only_checkpoint_error(data):
-    for expected in ({}, {"expected_x_dim": 3, "expected_cond_dim": 3}):
-        try:
-            load_checkpoint(data, **expected)
-        except CheckpointError:
-            pass
+    try:
+        load_checkpoint(data)
+    except CheckpointError:
+        pass
 
 
 @FUZZ

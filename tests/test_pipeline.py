@@ -119,6 +119,18 @@ class TestInference:
         assert len(traj) == 1
         assert np.array_equal(traj[0][0], p.default_fiducial())
 
+    @pytest.mark.parametrize("L", [0, 2])
+    def test_trajectory_wrong_y_length(self, L, monkeypatch):
+        # the problem's score refuses y before any flow draws
+        p, pipe = self._pipe(L=L)
+
+        def no_draws(*args):
+            raise AssertionError("flow sampled before y was checked")
+
+        monkeypatch.setattr(CouplingFlow, "sample", no_draws)
+        with pytest.raises(ShapeError, match=rf"y must have shape \({p.y_dim},\), got \({p.y_dim + 1},\)"):
+            intermediate_trajectory(pipe, np.zeros(p.y_dim + 1), Rng(12))
+
     def test_infer_final_state_matches_trajectory(self):
         p, pipe = self._pipe(L=2)
         y = Rng(13).standard_normal(p.y_dim)
@@ -215,6 +227,15 @@ class TestBundle:
         other = tiny_problem(x_dim=3, y_dim=5)
         with pytest.raises(PipelineError, match="dims"):
             load_pipeline(tmp_path / "b", problem=other)
+
+    @pytest.mark.parametrize("x_dim, cond_dim", [(3, 3), (2, 3)])
+    def test_swapped_checkpoint_of_other_dims(self, tmp_path, x_dim, cond_dim):
+        p = tiny_problem()
+        pipe, _ = train_pipeline(p, 12, 1, FAST_FLOW, FAST_TRAIN, Rng(25))
+        save_pipeline(pipe, tmp_path / "b")
+        (tmp_path / "b" / "flow_001.ckpt").write_bytes(save_checkpoint(CouplingFlow(x_dim, cond_dim, FAST_FLOW)))
+        with pytest.raises(CheckpointError, match=rf"flow_001\.ckpt .*\({x_dim}, {cond_dim}\).*\(2, 2\)"):
+            load_pipeline(tmp_path / "b", problem=p)
 
     def test_shorter_bundle_replaces_longer_one(self, tmp_path):
         p = tiny_problem()

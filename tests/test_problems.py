@@ -240,6 +240,38 @@ class TestNonlinearToy:
         x = 0.2 * Rng(22).standard_normal(p.x_dim)
         assert np.abs(p.score(x, p.forward(x))).max() < 1e-10
 
+    @staticmethod
+    def _reference_score(p, x0, y):
+        # the score as forward then forward_vjp computed it, with three blurs
+        from scipy.ndimage import convolve
+
+        def blur(img):
+            return convolve(img, p.kernel, mode="constant", cval=0.0)
+
+        r = y - np.tanh(p.nonlin_scale * blur(x0.reshape(p.grid, p.grid)))[: p.observed_rows].ravel()
+        v = r / p.noise_std**2
+        pre = p.nonlin_scale * blur(x0.reshape(p.grid, p.grid))
+        deriv = p.nonlin_scale * (1.0 - np.tanh(pre) ** 2)
+        full = np.zeros((p.grid, p.grid))
+        full[: p.observed_rows] = v.reshape(p.observed_rows, p.grid)
+        return blur(deriv * full).ravel()
+
+    @pytest.mark.parametrize("grid, rows, scale", [(8, 3, 3.0), (16, 6, 3.0), (12, 12, 0.7)])
+    def test_score_bitwise_equals_three_blur_arithmetic(self, grid, rows, scale):
+        p = NonlinearToyProblem(grid=grid, observed_rows=rows, nonlin_scale=scale, noise_std=0.05)
+        rng = Rng(grid + rows)
+        points = [p.default_fiducial(), np.zeros(p.x_dim)] + [p.sample_prior(rng.child(k)) for k in range(3)]
+        for k, x0 in enumerate(points):
+            y = p.simulate(p.sample_prior(rng.child(10 + k)), rng.child(20 + k))
+            assert np.array_equal(p.score(x0, y), self._reference_score(p, x0, y))
+
+    def test_score_blurs_twice(self, monkeypatch):
+        p = NonlinearToyProblem(grid=8, observed_rows=3)
+        real, calls = p._blur, []
+        monkeypatch.setattr(p, "_blur", lambda img: calls.append(img) or real(img))
+        p.score(p.default_fiducial(), np.zeros(p.y_dim))
+        assert len(calls) == 2
+
     def test_log_likelihood_direct_formula(self):
         p = NonlinearToyProblem(grid=8, observed_rows=3, noise_std=0.2)
         rng = Rng(23)
