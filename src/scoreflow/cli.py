@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,7 @@ def cmd_train(args) -> int:
     out = _out_dir(cfg)
     bundle_dir = out / "bundle"
     rng = Rng(cfg.seed)
+    failure = None
     try:
         pipeline, _ = train_pipeline(
             problem,
@@ -79,22 +81,15 @@ def cmd_train(args) -> int:
             progress=_progress,
         )
     except PipelineError as exc:
-        # persist whatever finished before the divergence
-        if exc.completed_flows:
-            partial = TrainedPipeline(
-                problem=problem,
-                flows=exc.completed_flows,
-                seed=cfg.seed,
-                config_hash=cfg.config_hash(),
-                problem_config=cfg.problem,
-                train_config=cfg.train_config(),
-            )
-            save_pipeline(partial, bundle_dir)
-            _progress(f"partial bundle with {len(exc.completed_flows)} flows saved to {bundle_dir}")
-        raise
+        failure, pipeline = exc, exc.pipeline  # the flows finished before the divergence
+    if not pipeline.flows:
+        raise failure
     pipeline.config_hash = cfg.config_hash()
     pipeline.problem_config = cfg.problem
     save_pipeline(pipeline, bundle_dir)
+    if failure:
+        _progress(f"partial bundle with {len(pipeline.flows)} flows saved to {bundle_dir}")
+        raise failure
     rows = ([j, *entry] for j, history in enumerate(pipeline.stage_histories) for entry in history)
     write_csv(out / "training_loss.csv", ["stage", "epoch", "train_loss", "val_loss"], rows, cfg.config_hash())
     _progress(f"bundle saved to {bundle_dir}")
@@ -114,7 +109,9 @@ def _load_bundle(bundle_dir: str, cfg: RunConfig) -> TrainedPipeline:
 
 def _load_y(path: str, y_dim: int) -> np.ndarray:
     try:
-        vals = np.loadtxt(path, delimiter=None).ravel()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file's; the shape check below names it
+            vals = np.loadtxt(path, delimiter=None).ravel()
     except ValueError as exc:
         raise ConfigError(f"cannot read observation {path}: {exc}") from exc
     if vals.shape != (y_dim,):
@@ -129,8 +126,8 @@ def cmd_infer(args) -> int:
     if args.n_samples < 1:
         raise ConfigError(f"--n-samples must be >= 1, got {args.n_samples}")
     pipeline = _load_bundle(args.bundle, cfg)
-    out = _out_dir(cfg)
     y = _load_y(args.y, pipeline.problem.y_dim)
+    out = _out_dir(cfg)
     _progress(f"inferring with {pipeline.n_stages} fiducial updates, {args.n_samples} samples")
     ens = infer(pipeline, y, args.n_samples, Rng(cfg.seed).child(0))
     xcols = [f"x{i}" for i in range(pipeline.problem.x_dim)]
@@ -228,7 +225,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ShapeError, CheckpointError, DatasetError, FileNotFoundError, OSError) as exc:
+    except (ConfigError, ShapeError, CheckpointError, DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (PipelineError, FloatingPointError) as exc:

@@ -81,6 +81,15 @@ def merge_block(name: str, defaults: dict, given: dict) -> dict:
     return {**defaults, **{k: _typed(f"{name}.{k}", defaults[k], v) for k, v in given.items()}}
 
 
+def complete_block(name: str, defaults: dict, given: dict) -> dict:
+    """`merge_block`'s result for a `given` that must also hold every one of `defaults`' keys."""
+    merged = merge_block(name, defaults, given)
+    missing = set(defaults) - set(given)
+    if missing:
+        raise ConfigError(f"{name} block lacks keys {sorted(missing)}")
+    return merged
+
+
 @dataclass
 class RunConfig:
     problem: dict
@@ -179,10 +188,7 @@ def problem_from_config(prob: dict) -> InverseProblem:
     kind = prob.get("kind") if isinstance(prob, dict) else None
     if not isinstance(kind, str) or kind not in _PROBLEM_BUILDERS:
         raise ConfigError(f"unknown problem kind '{kind}'")
-    missing = set(_PROBLEM_DEFAULTS[kind]) - set(prob)
-    if missing:
-        raise ConfigError(f"problem block lacks keys {sorted(missing)}")
-    params = merge_block("problem", _PROBLEM_DEFAULTS[kind], {k: v for k, v in prob.items() if k != "kind"})
+    params = complete_block("problem", _PROBLEM_DEFAULTS[kind], {k: v for k, v in prob.items() if k != "kind"})
     try:
         return _PROBLEM_BUILDERS[kind](**params)
     except ValueError as exc:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, from_block, merge_block, problem_from_config
+from .config import ConfigError, complete_block, from_block, problem_from_config
 from .flow import CheckpointError, CouplingFlow, FlowConfig, TrainConfig, load_checkpoint, save_checkpoint, train_flow
 from .numerics import Rng
 from .problems import InverseProblem
@@ -37,12 +37,11 @@ _KEY_INFER_SAMPLE = 4
 
 
 class PipelineError(RuntimeError):
-    """Raised when a pipeline stage fails; carries the stage identity."""
+    """A training run failed; `pipeline` holds the flows and histories finished before the failure."""
 
-    def __init__(self, message, stage=None, completed_flows=None):
+    def __init__(self, message, pipeline):
         super().__init__(message)
-        self.stage = stage
-        self.completed_flows = completed_flows or []
+        self.pipeline = pipeline
 
 
 @dataclass
@@ -94,16 +93,15 @@ def train_pipeline(
 ) -> tuple[TrainedPipeline, list[FiducialDataset]]:
     """Run the full training phase; returns the pipeline and per-stage datasets.
 
-    On divergence the raised PipelineError carries all flows completed so
-    far so callers can persist them.
+    On divergence the raised PipelineError carries the pipeline of the
+    flows completed so far, so callers can persist them.
     """
     if L < 0:
         raise ValueError("L must be >= 0")
     data_rng = rng.child(_KEY_DATA)
     ds = build_stage0(problem, n_train, data_rng, val_fraction=train_cfg.val_fraction)
     datasets = [ds]
-    flows: list[CouplingFlow] = []
-    histories = []
+    pipeline = TrainedPipeline(problem=problem, flows=[], seed=rng.seed, train_config=train_cfg)
     for j in range(L + 1):
         if progress:
             progress(f"stage {j}/{L}: training flow on {ds.n_records} records")
@@ -114,30 +112,17 @@ def train_pipeline(
         try:
             history = train_flow(flow, dx_tr, ybar_tr, dx_val, ybar_val, rng.child(_KEY_TRAIN, j), train_cfg)
         except FloatingPointError as exc:
-            raise PipelineError(
-                f"flow training diverged at stage {j}: {exc}", stage=j, completed_flows=flows
-            ) from exc
-        flows.append(flow)
-        histories.append(history)
+            raise PipelineError(f"flow training diverged at stage {j}: {exc}", pipeline) from exc
+        pipeline.flows.append(flow)
+        pipeline.stage_histories.append(history)
         if j < L:
             if progress:
                 progress(f"stage {j}/{L}: advancing fiducials (n_s={train_cfg.n_s_train})")
             try:
                 ds = advance_stage(ds, flow, problem, train_cfg.n_s_train, data_rng)
             except FloatingPointError as exc:
-                raise PipelineError(
-                    f"fiducial advancement diverged after stage {j}: {exc}",
-                    stage=j,
-                    completed_flows=flows,
-                ) from exc
+                raise PipelineError(f"fiducial advancement diverged after stage {j}: {exc}", pipeline) from exc
             datasets.append(ds)
-    pipeline = TrainedPipeline(
-        problem=problem,
-        flows=flows,
-        seed=rng.seed,
-        train_config=train_cfg,
-        stage_histories=histories,
-    )
     return pipeline, datasets
 
 
@@ -153,7 +138,7 @@ def intermediate_trajectory(pipeline: TrainedPipeline, y, rng: Rng):
         out.append((x, ybar))
         x = x + pipeline.flows[i].sample(ybar, n_s, rng.child(_KEY_INFER_UPDATE, i)).mean(axis=0)
         if not np.all(np.isfinite(x)):
-            raise PipelineError(f"non-finite fiducial at inference iteration {i}", stage=i)
+            raise FloatingPointError(f"non-finite fiducial at inference iteration {i}")
     out.append((x, problem.score(x, y)))
     return out
 
@@ -216,14 +201,14 @@ def load_pipeline(bundle_dir, problem: InverseProblem | None = None) -> TrainedP
     bundle = Path(bundle_dir)
     manifest_path = bundle / "manifest.json"
     if not manifest_path.exists():
-        raise PipelineError(f"no manifest.json in bundle {bundle}")
+        raise CheckpointError(f"no manifest.json in bundle {bundle}")
     try:
         manifest = json.loads(manifest_path.read_text())
     except ValueError as exc:
         raise CheckpointError(f"bundle manifest {manifest_path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CheckpointError(f"bundle manifest {manifest_path} is not a JSON object")
-    shape = {"x_dim": int, "y_dim": int, "n_flows": int, "problem": dict}
+    shape = {"x_dim": int, "y_dim": int, "n_flows": int, "problem": dict, "train_config": dict}
     bad = [k for k, t in shape.items() if type(manifest.get(k)) is not t or t is int and manifest[k] < 1]
     if bad:
         raise CheckpointError(f"bundle manifest {manifest_path} lacks a valid {', '.join(bad)}")
@@ -233,12 +218,12 @@ def load_pipeline(bundle_dir, problem: InverseProblem | None = None) -> TrainedP
     try:
         if problem is None:
             problem = problem_from_config(manifest["problem"])
-        tc = merge_block("train_config", asdict(TrainConfig()), manifest.get("train_config", {}))
+        tc = complete_block("train_config", asdict(TrainConfig()), manifest["train_config"])
         train_config = from_block(TrainConfig, "train_config", tc)
     except ConfigError as exc:
         raise CheckpointError(f"bundle manifest {manifest_path}: {exc}") from exc
     if problem.x_dim != manifest["x_dim"] or problem.y_dim != manifest["y_dim"]:
-        raise PipelineError(
+        raise CheckpointError(
             f"bundle dims ({manifest['x_dim']}, {manifest['y_dim']}) do not match "
             f"problem dims ({problem.x_dim}, {problem.y_dim})"
         )
@@ -246,7 +231,7 @@ def load_pipeline(bundle_dir, problem: InverseProblem | None = None) -> TrainedP
     for j in range(manifest["n_flows"]):
         path = bundle / f"flow_{j:03d}.ckpt"
         if not path.exists():
-            raise PipelineError(f"missing checkpoint {path.name} in bundle")
+            raise CheckpointError(f"missing checkpoint {path.name} in bundle")
         flow = load_checkpoint(path.read_bytes())
         if (flow.x_dim, flow.cond_dim) != (problem.x_dim, problem.x_dim):
             raise CheckpointError(

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -130,7 +131,8 @@ class TestDivergence:
         assert sum(line.startswith("runtime error: ") for line in err) == 1
         return cfg, out, err
 
-    def test_partial_bundle_after_advance_diverges(self, tmp_path, capsys, monkeypatch):
+    @staticmethod
+    def _diverge_at_second_advance(monkeypatch):
         real, calls = sf_pipeline.advance_stage, []
 
         def diverging(*args, **kwargs):
@@ -140,6 +142,9 @@ class TestDivergence:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sf_pipeline, "advance_stage", diverging)
+
+    def test_partial_bundle_after_advance_diverges(self, tmp_path, capsys, monkeypatch):
+        self._diverge_at_second_advance(monkeypatch)
         cfg, out, err = self._train(tmp_path, capsys, {"training": {"stages": 2}})
         bundle = out / "bundle"
         assert err[-2] == f"partial bundle with 2 flows saved to {bundle}"
@@ -155,6 +160,19 @@ class TestDivergence:
         assert rc == 0
         traj = np.loadtxt(tmp_path / "inf" / "trajectory.csv", delimiter=",", skiprows=2)
         assert traj[:, 0].tolist() == [0, 1]
+
+    def test_partial_bundle_is_the_full_runs_first_flows(self, tmp_path, capsys, monkeypatch):
+        full = tmp_path / "full" / "bundle"
+        assert main(["train", "--config", str(write_cfg(tmp_path, {"training": {"stages": 2}})),
+                     "--out", str(full.parent)]) == 0
+        self._diverge_at_second_advance(monkeypatch)
+        _, out, _ = self._train(tmp_path, capsys, {"training": {"stages": 2}})
+        partial = out / "bundle"
+        want, got = (json.loads((b / "manifest.json").read_text()) for b in (full, partial))
+        assert (want.pop("n_flows"), got.pop("n_flows")) == (3, 2)
+        assert got == want
+        for name in ("flow_000.ckpt", "flow_001.ckpt"):
+            assert (partial / name).read_bytes() == (full / name).read_bytes()
 
     def test_no_bundle_when_stage_0_diverges(self, tmp_path, capsys, monkeypatch):
         def diverging(*args, **kwargs):
@@ -190,6 +208,20 @@ class TestInferAndEvaluate:
         assert np.allclose(mean, samples.mean(axis=0), atol=1e-12)
         traj = (out / "trajectory.csv").read_text().splitlines()
         assert len(traj) == 2 + 2  # comment + header + stages 0..1
+
+    def test_non_finite_fiducial_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
+        cfg, bundle = self._trained(tmp_path)
+        ypath = tmp_path / "y.txt"
+        np.savetxt(ypath, np.arange(4, dtype=float))
+        monkeypatch.setattr(CouplingFlow, "sample", lambda flow, ybar, n, rng: np.full((n, 2), np.nan))
+        capsys.readouterr()
+        rc = main(["infer", "--config", str(cfg), "--bundle", str(bundle), "--y", str(ypath),
+                   "--out", str(tmp_path / "inf")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "error" in line] == [
+            "runtime error: non-finite fiducial at inference iteration 0"
+        ]
 
     def test_infer_wrong_observation_length(self, tmp_path):
         cfg, bundle = self._trained(tmp_path)
@@ -268,7 +300,56 @@ class TestErrors:
             "infer", "--config", str(cfg), "--bundle", str(tmp_path / "nope"),
             "--y", str(ypath), "--out", str(tmp_path / "o"),
         ])
-        assert rc == 2  # bundle errors are pipeline failures
+        assert rc == 1
+
+
+@pytest.fixture(scope="module")
+def trained_bundle(tmp_path_factory):
+    """A bundle trained on TINY, for tests to copy and break."""
+    root = tmp_path_factory.mktemp("trained")
+    assert main(["train", "--config", str(write_cfg(root)), "--out", str(root / "out")]) == 0
+    return root / "out" / "bundle"
+
+
+def _missing_checkpoint(bundle):
+    (bundle / "flow_001.ckpt").unlink()
+
+
+def _dims_disagree(bundle):
+    edit_manifest(bundle, lambda m: m.update(x_dim=3))
+
+
+class TestBadBundles:
+    """A bundle that cannot be read is a malformed input: exit 1, one `error:` line, no output directory."""
+
+    @pytest.mark.parametrize("command", ["infer", "evaluate"])
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (None, "no manifest.json in bundle {bundle}"),
+            ("file", "no manifest.json in bundle {bundle}"),
+            (_missing_checkpoint, "missing checkpoint flow_001.ckpt in bundle"),
+            (_dims_disagree, "bundle dims (3, 4) do not match problem dims (2, 4)"),
+        ],
+        ids=["missing_directory", "file", "missing_checkpoint", "dims_disagree"],
+    )
+    def test_exits_1(self, tmp_path, capsys, trained_bundle, command, make, message):
+        bundle = tmp_path / "bundle"
+        if make == "file":
+            bundle.write_text("not a bundle\n")
+        elif make is not None:
+            shutil.copytree(trained_bundle, bundle)
+            make(bundle)
+        ypath = tmp_path / "y.txt"
+        np.savetxt(ypath, np.arange(4, dtype=float))
+        out = tmp_path / "o"
+        argv = [command, "--config", str(write_cfg(tmp_path)), "--bundle", str(bundle), "--out", str(out)]
+        if command == "infer":
+            argv += ["--y", str(ypath)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: " + message.format(bundle=bundle)]
+        assert not out.exists()
 
 
 def edit_manifest(bundle, change):
@@ -316,7 +397,8 @@ class TestBadInputs:
 
     @pytest.mark.parametrize(
         "key, value",
-        [(k, "absent") for k in ("problem", "x_dim", "y_dim", "n_flows")] + [("n_flows", 0), ("x_dim", "2")],
+        [(k, "absent") for k in ("problem", "x_dim", "y_dim", "n_flows", "train_config")]
+        + [("n_flows", 0), ("x_dim", "2"), ("train_config", [])],
     )
     def test_manifest_lacks_key(self, tmp_path, capsys, key, value):
         def corrupt(bundle):
@@ -329,6 +411,15 @@ class TestBadInputs:
             edit_manifest(bundle, lambda m: m["problem"].pop("y_dim"))
 
         assert "y_dim" in self._infer(tmp_path, capsys, corrupt=corrupt)
+
+    def test_train_config_lacks_keys(self, tmp_path, capsys):
+        # a missing key is not filled with its default: n_s_infer sets how many draws each update averages
+        def corrupt(bundle):
+            edit_manifest(bundle, lambda m: [m["train_config"].pop(k) for k in ("n_s_infer", "lr")])
+
+        line = self._infer(tmp_path, capsys, corrupt=corrupt)
+        assert line.endswith(": train_config block lacks keys ['lr', 'n_s_infer']")
+        assert not (tmp_path / "inf").exists()
 
     def test_unknown_train_config_key(self, tmp_path, capsys):
         def corrupt(bundle):
@@ -354,6 +445,13 @@ class TestBadInputs:
         path.write_bytes(content)
         line = self._one_error_line(capsys, ["train", "--config", str(path), "--out", str(tmp_path / "o")])
         assert line.startswith(f"error: cannot read config {path}: ")
+
+    @pytest.mark.filterwarnings("error")
+    def test_empty_observation_file(self, tmp_path, capsys):
+        # np.loadtxt warns on an empty file; the one line is the shape error
+        line = self._infer(tmp_path, capsys, y=())
+        assert line == f"error: observation in {tmp_path / 'y.txt'} has 0 entries, expected 4"
+        assert not (tmp_path / "inf").exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_observation(self, tmp_path, capsys, bad):
@@ -394,7 +492,7 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_non_positive_sample_count(self, tmp_path, capsys, n):
-        # refused before the bundle is read: this bundle does not exist (exit 2 if it were read)
+        # refused before the bundle is read: this bundle does not exist (another error line if it were read)
         ypath = tmp_path / "y.txt"
         np.savetxt(ypath, np.zeros(4))
         line = self._one_error_line(capsys, [

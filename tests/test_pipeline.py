@@ -90,6 +90,25 @@ class TestTrainPipeline:
             assert 1 <= len(hist) <= FAST_TRAIN.max_epochs
             assert all(np.isfinite(v) for _, tr, v in hist for v in (tr, v))
 
+    def test_failed_run_carries_its_finished_pipeline(self, monkeypatch):
+        p = tiny_problem()
+        full, _ = train_pipeline(p, 12, 2, FAST_FLOW, FAST_TRAIN, Rng(6))
+        real, calls = sf_pipeline.train_flow, []
+
+        def diverging_at_stage_1(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise FloatingPointError("non-finite flow training loss")
+            return real(*args)
+
+        monkeypatch.setattr(sf_pipeline, "train_flow", diverging_at_stage_1)
+        with pytest.raises(PipelineError, match="flow training diverged at stage 1") as info:
+            train_pipeline(p, 12, 2, FAST_FLOW, FAST_TRAIN, Rng(6))
+        partial = info.value.pipeline
+        assert partial.problem is p and (partial.seed, partial.train_config) == (6, FAST_TRAIN)
+        assert partial.stage_histories == full.stage_histories[:1]
+        assert [save_checkpoint(f) for f in partial.flows] == [save_checkpoint(full.flows[0])]
+
     def test_rejects_negative_stages(self):
         with pytest.raises(ValueError):
             train_pipeline(tiny_problem(), 4, -1, FAST_FLOW, FAST_TRAIN, Rng(7))
@@ -130,6 +149,12 @@ class TestInference:
         monkeypatch.setattr(CouplingFlow, "sample", no_draws)
         with pytest.raises(ShapeError, match=rf"y must have shape \({p.y_dim},\), got \({p.y_dim + 1},\)"):
             intermediate_trajectory(pipe, np.zeros(p.y_dim + 1), Rng(12))
+
+    def test_non_finite_fiducial(self, monkeypatch):
+        p, pipe = self._pipe(L=2)
+        monkeypatch.setattr(CouplingFlow, "sample", lambda flow, ybar, n, rng: np.full((n, p.x_dim), np.nan))
+        with pytest.raises(FloatingPointError, match="non-finite fiducial at inference iteration 0"):
+            intermediate_trajectory(pipe, np.zeros(p.y_dim), Rng(12))
 
     def test_infer_final_state_matches_trajectory(self):
         p, pipe = self._pipe(L=2)
@@ -209,7 +234,7 @@ class TestBundle:
             load_pipeline(tmp_path / "b", problem=p)
 
     def test_missing_manifest(self, tmp_path):
-        with pytest.raises(PipelineError, match="manifest"):
+        with pytest.raises(CheckpointError, match="manifest"):
             load_pipeline(tmp_path)
 
     def test_missing_checkpoint(self, tmp_path):
@@ -217,7 +242,7 @@ class TestBundle:
         pipe, _ = train_pipeline(p, 12, 1, FAST_FLOW, FAST_TRAIN, Rng(24))
         save_pipeline(pipe, tmp_path / "b")
         (tmp_path / "b" / "flow_001.ckpt").unlink()
-        with pytest.raises(PipelineError, match="flow_001"):
+        with pytest.raises(CheckpointError, match="flow_001"):
             load_pipeline(tmp_path / "b", problem=p)
 
     def test_dim_mismatch(self, tmp_path):
@@ -225,7 +250,7 @@ class TestBundle:
         pipe, _ = train_pipeline(p, 12, 0, FAST_FLOW, FAST_TRAIN, Rng(25))
         save_pipeline(pipe, tmp_path / "b")
         other = tiny_problem(x_dim=3, y_dim=5)
-        with pytest.raises(PipelineError, match="dims"):
+        with pytest.raises(CheckpointError, match="dims"):
             load_pipeline(tmp_path / "b", problem=other)
 
     @pytest.mark.parametrize("x_dim, cond_dim", [(3, 3), (2, 3)])
