@@ -23,7 +23,7 @@ from .metrics import write_csv, write_records_csv, write_summary_csv, write_swee
 from .numerics import Rng, ShapeError
 from .pipeline import PipelineError, TrainedPipeline, infer, load_pipeline, save_pipeline, train_pipeline
 from .pipeline import intermediate_trajectory  # noqa: F401  (bound here; bench/tracer.py patches it)
-from .summary import DatasetError, build_stage0, save_dataset
+from .summary import build_stage0, save_dataset
 
 
 def _progress(msg: str) -> None:
@@ -47,8 +47,7 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def cmd_generate(args) -> int:
-    cfg = _effective_config(args)
+def cmd_generate(args, cfg: RunConfig) -> int:
     problem = problem_from_config(cfg.problem)
     out = _out_dir(cfg)
     n_train = cfg.training["n_train"]
@@ -63,8 +62,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _effective_config(args)
+def cmd_train(args, cfg: RunConfig) -> int:
     problem = problem_from_config(cfg.problem)
     out = _out_dir(cfg)
     bundle_dir = out / "bundle"
@@ -121,8 +119,7 @@ def _load_y(path: str, y_dim: int) -> np.ndarray:
     return vals.astype(np.float64)
 
 
-def cmd_infer(args) -> int:
-    cfg = _effective_config(args)
+def cmd_infer(args, cfg: RunConfig) -> int:
     if args.n_samples < 1:
         raise ConfigError(f"--n-samples must be >= 1, got {args.n_samples}")
     pipeline = _load_bundle(args.bundle, cfg)
@@ -140,28 +137,17 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _effective_config(args)
+def cmd_evaluate(args, cfg: RunConfig) -> int:
     pipeline = _load_bundle(args.bundle, cfg)
     out = _out_dir(cfg)
-    rng = Rng(cfg.seed)
-    report = evaluate_testset(
-        pipeline,
-        pipeline.problem,
-        cfg.eval["n_test"],
-        rng.child(0),
-        n_samples=cfg.eval["n_samples"],
-        psnr_range=cfg.eval["psnr_range"],
-        progress=_progress,
-    )
+    report = evaluate_testset(pipeline, pipeline.problem, rng=Rng(cfg.seed).child(0), progress=_progress, **cfg.eval)
     write_records_csv(report, out / "metrics_records.csv", cfg.config_hash())
     write_summary_csv(report, out / "metrics_summary.csv", cfg.config_hash())
     _progress(f"metric CSVs written to {out}")
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _effective_config(args)
+def cmd_sweep(args, cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     problem = problem_from_config(cfg.problem)
     rng = Rng(cfg.seed)
@@ -172,10 +158,8 @@ def cmd_sweep(args) -> int:
         cfg.flow_config(),
         cfg.train_config(),
         rng,
-        n_test=cfg.eval["n_test"],
-        n_samples=cfg.eval["n_samples"],
-        psnr_range=cfg.eval["psnr_range"],
         progress=_progress,
+        **cfg.eval,
     )
     write_sweep_csv(results, out / "sweep.csv", cfg.config_hash())
     for n_train, report in results.items():
@@ -224,8 +208,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, ShapeError, CheckpointError, DatasetError, OSError) as exc:
+        return args.func(args, _effective_config(args))
+    except (ConfigError, ShapeError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (PipelineError, FloatingPointError) as exc:

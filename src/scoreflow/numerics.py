@@ -49,15 +49,13 @@ class Rng:
     Every test observation, and every sweep size, draws from the same keys.
     """
 
-    def __init__(self, seed: int, _seq: np.random.SeedSequence | None = None):
+    def __init__(self, seed: int, key: tuple[int, ...] = ()):
         self.seed = int(seed)
-        self._seq = np.random.SeedSequence(self.seed) if _seq is None else _seq
-        self._gen = np.random.Generator(np.random.Philox(self._seq))
+        self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(self.seed, spawn_key=key)))
 
     def child(self, *key: int) -> "Rng":
         """Independent stream determined by this stream's seed and `key`."""
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=tuple(int(k) for k in key))
-        return Rng(self.seed, _seq=seq)
+        return Rng(self.seed, tuple(int(k) for k in key))
 
     def standard_normal(self, shape=()) -> np.ndarray:
         return self._gen.standard_normal(shape)

@@ -208,8 +208,10 @@ def load_pipeline(bundle_dir, problem: InverseProblem | None = None) -> TrainedP
         raise CheckpointError(f"bundle manifest {manifest_path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CheckpointError(f"bundle manifest {manifest_path} is not a JSON object")
-    shape = {"x_dim": int, "y_dim": int, "n_flows": int, "problem": dict, "train_config": dict}
-    bad = [k for k, t in shape.items() if type(manifest.get(k)) is not t or t is int and manifest[k] < 1]
+    # each key's type and, for an int, the least value it may take
+    shape = {"x_dim": (int, 1), "y_dim": (int, 1), "n_flows": (int, 1), "seed": (int, 0),
+             "config_hash": (str, None), "problem": (dict, None), "train_config": (dict, None)}
+    bad = [k for k, (t, least) in shape.items() if type(manifest.get(k)) is not t or t is int and manifest[k] < least]
     if bad:
         raise CheckpointError(f"bundle manifest {manifest_path} lacks a valid {', '.join(bad)}")
     version = manifest.get("format_version")
@@ -242,8 +244,8 @@ def load_pipeline(bundle_dir, problem: InverseProblem | None = None) -> TrainedP
     return TrainedPipeline(
         problem=problem,
         flows=flows,
-        seed=manifest.get("seed", 0),
-        config_hash=manifest.get("config_hash", ""),
+        seed=manifest["seed"],
+        config_hash=manifest["config_hash"],
         problem_config=manifest["problem"],
         train_config=train_config,
     )

@@ -11,8 +11,10 @@ import scoreflow.pipeline as sf_pipeline
 from scoreflow.cli import main
 from scoreflow.config import load_config, problem_from_config
 from scoreflow.flow import CouplingFlow, FlowConfig, load_checkpoint, save_checkpoint
+from scoreflow.metrics import evaluate_testset, sweep_training_size
+from scoreflow.metrics import write_records_csv, write_summary_csv, write_sweep_csv
 from scoreflow.numerics import Rng
-from scoreflow.pipeline import train_pipeline
+from scoreflow.pipeline import load_pipeline, train_pipeline
 from scoreflow.summary import load_dataset
 
 TINY = {
@@ -319,6 +321,14 @@ def _dims_disagree(bundle):
     edit_manifest(bundle, lambda m: m.update(x_dim=3))
 
 
+def _drop_seed(bundle):
+    edit_manifest(bundle, lambda m: m.pop("seed"))
+
+
+def _drop_config_hash(bundle):
+    edit_manifest(bundle, lambda m: m.pop("config_hash"))
+
+
 class TestBadBundles:
     """A bundle that cannot be read is a malformed input: exit 1, one `error:` line, no output directory."""
 
@@ -330,8 +340,10 @@ class TestBadBundles:
             ("file", "no manifest.json in bundle {bundle}"),
             (_missing_checkpoint, "missing checkpoint flow_001.ckpt in bundle"),
             (_dims_disagree, "bundle dims (3, 4) do not match problem dims (2, 4)"),
+            (_drop_seed, "bundle manifest {bundle}/manifest.json lacks a valid seed"),
+            (_drop_config_hash, "bundle manifest {bundle}/manifest.json lacks a valid config_hash"),
         ],
-        ids=["missing_directory", "file", "missing_checkpoint", "dims_disagree"],
+        ids=["missing_directory", "file", "missing_checkpoint", "dims_disagree", "no_seed", "no_config_hash"],
     )
     def test_exits_1(self, tmp_path, capsys, trained_bundle, command, make, message):
         bundle = tmp_path / "bundle"
@@ -398,7 +410,8 @@ class TestBadInputs:
     @pytest.mark.parametrize(
         "key, value",
         [(k, "absent") for k in ("problem", "x_dim", "y_dim", "n_flows", "train_config")]
-        + [("n_flows", 0), ("x_dim", "2"), ("train_config", [])],
+        + [("n_flows", 0), ("x_dim", "2"), ("train_config", [])]
+        + [("seed", "absent"), ("config_hash", "absent"), ("seed", -1), ("seed", True), ("config_hash", 5)],
     )
     def test_manifest_lacks_key(self, tmp_path, capsys, key, value):
         def corrupt(bundle):
@@ -566,6 +579,38 @@ class TestSweep:
         assert len(sweep) == 2 + 2 * 2  # comment + header + 2 sizes x 2 stages
         assert (out / "sweep_summary_n8.csv").exists()
         assert (out / "sweep_summary_n12.csv").exists()
+
+
+class TestEvalBlock:
+    """`evaluate` and `sweep` hand every key of the config's `eval` block to the library."""
+
+    EVAL = {"n_test": 3, "n_samples": 30, "psnr_range": 3.0}  # none is TINY's value or the default
+
+    def test_outputs_equal_direct_calls(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, {"eval": self.EVAL})
+        cfg = load_config(cfg_path)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["evaluate", "--config", str(cfg_path), "--bundle", str(out / "bundle"), "--out", str(out)]) == 0
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+        direct = tmp_path / "direct"
+        direct.mkdir()
+        problem = problem_from_config(cfg.problem)
+        report = evaluate_testset(load_pipeline(out / "bundle"), problem, 3, Rng(0).child(0),
+                                  n_samples=30, psnr_range=3.0)
+        write_records_csv(report, direct / "metrics_records.csv", cfg.config_hash())
+        write_summary_csv(report, direct / "metrics_summary.csv", cfg.config_hash())
+        results = sweep_training_size(problem, [8, 12], 1, cfg.flow_config(), cfg.train_config(), Rng(0),
+                                      n_test=3, n_samples=30, psnr_range=3.0)
+        write_sweep_csv(results, direct / "sweep.csv", cfg.config_hash())
+        for n_train, sized in results.items():
+            write_summary_csv(sized, direct / f"sweep_summary_n{n_train}.csv", cfg.config_hash())
+
+        names = sorted(p.name for p in direct.iterdir())
+        assert len(names) == 5
+        for name in names:
+            assert (out / name).read_text() == (direct / name).read_text(), name
 
 
 class TestImageSmallerThanSsimWindow:

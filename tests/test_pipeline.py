@@ -205,7 +205,7 @@ class TestBundle:
         save_pipeline(pipe, tmp_path / "bundle")
         loaded = load_pipeline(tmp_path / "bundle", problem=p)
         assert loaded.n_stages == 1
-        assert loaded.config_hash == "abc123"
+        assert (loaded.seed, loaded.config_hash) == (20, "abc123")
         y = Rng(21).standard_normal(p.y_dim)
         a = infer(pipe, y, 25, Rng(22))
         b = infer(loaded, y, 25, Rng(22))
