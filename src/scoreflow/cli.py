@@ -83,7 +83,6 @@ def cmd_train(args, cfg: RunConfig) -> int:
     if not pipeline.flows:
         raise failure
     pipeline.config_hash = cfg.config_hash()
-    pipeline.problem_config = cfg.problem
     save_pipeline(pipeline, bundle_dir)
     if failure:
         _progress(f"partial bundle with {len(pipeline.flows)} flows saved to {bundle_dir}")
@@ -97,7 +96,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
 def _load_bundle(bundle_dir: str, cfg: RunConfig) -> TrainedPipeline:
     """The bundle's pipeline, refused unless the config's `problem` block is the one it was trained on."""
     pipeline = load_pipeline(bundle_dir)
-    bundle, config = pipeline.problem_config, cfg.problem
+    bundle, config = pipeline.problem.config, cfg.problem
     diffs = [f"problem.{k} is {bundle.get(k, 'absent')} in the bundle and {config.get(k, 'absent')} in the config"
              for k in sorted(bundle.keys() | config.keys()) if bundle.get(k) != config.get(k)]
     if diffs:

@@ -183,13 +183,15 @@ def load_config(path) -> RunConfig:
 
 
 def problem_from_config(prob: dict) -> InverseProblem:
-    """Build a problem instance from a problem block that gives every one of
-    its builder's keys, with its default's type, and its `kind`."""
+    """Build a problem instance from a problem block that gives every one of its builder's
+    keys, with its default's type, and its `kind`; the problem keeps the block as its `config`."""
     kind = prob.get("kind") if isinstance(prob, dict) else None
     if not isinstance(kind, str) or kind not in _PROBLEM_BUILDERS:
         raise ConfigError(f"unknown problem kind '{kind}'")
     params = complete_block("problem", _PROBLEM_DEFAULTS[kind], {k: v for k, v in prob.items() if k != "kind"})
     try:
-        return _PROBLEM_BUILDERS[kind](**params)
+        problem = _PROBLEM_BUILDERS[kind](**params)
     except ValueError as exc:
         raise ConfigError(f"problem block ({kind}) is invalid: {exc}") from exc
+    problem.config = {"kind": kind, **params}
+    return problem

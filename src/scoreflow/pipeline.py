@@ -49,9 +49,8 @@ class TrainedPipeline:
     problem: InverseProblem
     flows: list[CouplingFlow]
     seed: int
+    train_config: TrainConfig
     config_hash: str = ""
-    problem_config: dict = field(default_factory=dict)
-    train_config: TrainConfig = field(default_factory=TrainConfig)
     stage_histories: list[list[tuple[int, float, float]]] = field(default_factory=list)
 
     @property
@@ -164,17 +163,20 @@ def save_pipeline(pipeline: TrainedPipeline, out_dir) -> None:
     The bundle is written into a temporary directory beside `out_dir`,
     which then takes the place of `out_dir`. So a save that fails leaves
     the previous bundle as it was, no file of an older, longer bundle
-    survives a save, and no temporary directory is left behind."""
+    survives a save, and no temporary directory is left behind. A pipeline
+    `load_pipeline` could not read back is refused before any directory is made."""
+    if not pipeline.flows:
+        raise ValueError("cannot save a pipeline with no flows")
+    if pipeline.problem.config is None:
+        raise ValueError("cannot save a pipeline whose problem has no config; build it with problem_from_config")
     out = Path(out_dir)
     out.parent.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "n_flows": len(pipeline.flows),
-        "x_dim": pipeline.problem.x_dim,
-        "y_dim": pipeline.problem.y_dim,
         "seed": pipeline.seed,
         "config_hash": pipeline.config_hash,
-        "problem": pipeline.problem_config,
+        "problem": pipeline.problem.config,
         "train_config": asdict(pipeline.train_config),
     }
     scratch = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
@@ -196,8 +198,8 @@ def save_pipeline(pipeline: TrainedPipeline, out_dir) -> None:
         shutil.rmtree(scratch, ignore_errors=True)
 
 
-def load_pipeline(bundle_dir, problem: InverseProblem | None = None) -> TrainedPipeline:
-    """Load a bundle; rebuilds the problem from the manifest unless one is given."""
+def load_pipeline(bundle_dir) -> TrainedPipeline:
+    """Load a bundle, with its problem rebuilt from the manifest's `problem` block."""
     bundle = Path(bundle_dir)
     manifest_path = bundle / "manifest.json"
     if not manifest_path.exists():
@@ -209,8 +211,8 @@ def load_pipeline(bundle_dir, problem: InverseProblem | None = None) -> TrainedP
     if not isinstance(manifest, dict):
         raise CheckpointError(f"bundle manifest {manifest_path} is not a JSON object")
     # each key's type and, for an int, the least value it may take
-    shape = {"x_dim": (int, 1), "y_dim": (int, 1), "n_flows": (int, 1), "seed": (int, 0),
-             "config_hash": (str, None), "problem": (dict, None), "train_config": (dict, None)}
+    shape = {"n_flows": (int, 1), "seed": (int, 0), "config_hash": (str, None), "problem": (dict, None),
+             "train_config": (dict, None)}
     bad = [k for k, (t, least) in shape.items() if type(manifest.get(k)) is not t or t is int and manifest[k] < least]
     if bad:
         raise CheckpointError(f"bundle manifest {manifest_path} lacks a valid {', '.join(bad)}")
@@ -218,17 +220,11 @@ def load_pipeline(bundle_dir, problem: InverseProblem | None = None) -> TrainedP
     if version != BUNDLE_FORMAT_VERSION:
         raise CheckpointError(f"unsupported bundle format {version}, expected {BUNDLE_FORMAT_VERSION}")
     try:
-        if problem is None:
-            problem = problem_from_config(manifest["problem"])
+        problem = problem_from_config(manifest["problem"])
         tc = complete_block("train_config", asdict(TrainConfig()), manifest["train_config"])
         train_config = from_block(TrainConfig, "train_config", tc)
     except ConfigError as exc:
         raise CheckpointError(f"bundle manifest {manifest_path}: {exc}") from exc
-    if problem.x_dim != manifest["x_dim"] or problem.y_dim != manifest["y_dim"]:
-        raise CheckpointError(
-            f"bundle dims ({manifest['x_dim']}, {manifest['y_dim']}) do not match "
-            f"problem dims ({problem.x_dim}, {problem.y_dim})"
-        )
     flows = []
     for j in range(manifest["n_flows"]):
         path = bundle / f"flow_{j:03d}.ckpt"
@@ -246,6 +242,5 @@ def load_pipeline(bundle_dir, problem: InverseProblem | None = None) -> TrainedP
         flows=flows,
         seed=manifest["seed"],
         config_hash=manifest["config_hash"],
-        problem_config=manifest["problem"],
         train_config=train_config,
     )

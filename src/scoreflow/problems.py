@@ -31,6 +31,7 @@ class InverseProblem:
     y_dim: int
     has_analytic_posterior: bool = False
     image_shape: tuple[int, int] | None = None
+    config: dict | None = None  # the whole block `problem_from_config` built it from
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError

@@ -318,7 +318,7 @@ def _missing_checkpoint(bundle):
 
 
 def _dims_disagree(bundle):
-    edit_manifest(bundle, lambda m: m.update(x_dim=3))
+    edit_manifest(bundle, lambda m: m["problem"].update(x_dim=3))
 
 
 def _drop_seed(bundle):
@@ -339,7 +339,7 @@ class TestBadBundles:
             (None, "no manifest.json in bundle {bundle}"),
             ("file", "no manifest.json in bundle {bundle}"),
             (_missing_checkpoint, "missing checkpoint flow_001.ckpt in bundle"),
-            (_dims_disagree, "bundle dims (3, 4) do not match problem dims (2, 4)"),
+            (_dims_disagree, "checkpoint flow_000.ckpt has (x_dim, cond_dim) (2, 2), the problem needs (3, 3)"),
             (_drop_seed, "bundle manifest {bundle}/manifest.json lacks a valid seed"),
             (_drop_config_hash, "bundle manifest {bundle}/manifest.json lacks a valid config_hash"),
         ],
@@ -409,8 +409,8 @@ class TestBadInputs:
 
     @pytest.mark.parametrize(
         "key, value",
-        [(k, "absent") for k in ("problem", "x_dim", "y_dim", "n_flows", "train_config")]
-        + [("n_flows", 0), ("x_dim", "2"), ("train_config", [])]
+        [(k, "absent") for k in ("problem", "n_flows", "train_config")]
+        + [("n_flows", 0), ("train_config", [])]
         + [("seed", "absent"), ("config_hash", "absent"), ("seed", -1), ("seed", True), ("config_hash", 5)],
     )
     def test_manifest_lacks_key(self, tmp_path, capsys, key, value):

@@ -177,7 +177,7 @@ def checkpoint_with(key, value) -> bytes:
 def bundle_with(tmp_path, key, value):
     """A saved bundle whose manifest's `train_config.key` reads `value`."""
     problem_block = validate_config({"problem": {"kind": "linear_gaussian", "x_dim": 2, "y_dim": 4}}).problem
-    pipe = TrainedPipeline(problem_from_config(problem_block), [small_flow()], seed=0, problem_config=problem_block)
+    pipe = TrainedPipeline(problem_from_config(problem_block), [small_flow()], seed=0, train_config=TrainConfig())
     bundle = tmp_path / "bundle"
     save_pipeline(pipe, bundle)
     manifest = json.loads((bundle / "manifest.json").read_text())

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import scoreflow.pipeline as sf_pipeline
+from scoreflow.config import problem_from_config, validate_config
 from scoreflow.flow import CheckpointError, CouplingFlow, save_checkpoint
 from scoreflow.numerics import Rng, ShapeError, SpdMatrix
 from scoreflow.pipeline import (
@@ -32,6 +33,8 @@ def tiny_problem(seed=1, x_dim=2, y_dim=4):
 
 FAST_FLOW = FlowConfig(n_blocks=2, hidden=(8,))
 FAST_TRAIN = TrainConfig(max_epochs=3, patience=3, n_s_train=4, n_s_infer=8)
+# a problem that a saved bundle can name: built from a complete config block
+TINY_BLOCK = validate_config({"problem": {"kind": "linear_gaussian", "x_dim": 2, "y_dim": 4}}).problem
 
 
 class TestPosteriorEnsemble:
@@ -197,83 +200,129 @@ class TestInference:
             infer(pipe, np.zeros(p.y_dim), 0, Rng(19))
 
 
+def bundled_problem():
+    return problem_from_config(TINY_BLOCK)
+
+
 class TestBundle:
     def test_roundtrip(self, tmp_path):
-        p = tiny_problem()
+        # the pipeline as train_pipeline returns it, with nothing stamped on it
+        p = bundled_problem()
         pipe, _ = train_pipeline(p, 12, 1, FAST_FLOW, FAST_TRAIN, Rng(20))
-        pipe.config_hash = "abc123"
         save_pipeline(pipe, tmp_path / "bundle")
-        loaded = load_pipeline(tmp_path / "bundle", problem=p)
+        loaded = load_pipeline(tmp_path / "bundle")
         assert loaded.n_stages == 1
-        assert (loaded.seed, loaded.config_hash) == (20, "abc123")
+        assert (loaded.seed, loaded.config_hash, loaded.train_config) == (20, "", FAST_TRAIN)
+        assert loaded.problem.config == TINY_BLOCK
         y = Rng(21).standard_normal(p.y_dim)
         a = infer(pipe, y, 25, Rng(22))
         b = infer(loaded, y, 25, Rng(22))
         assert np.array_equal(a.samples, b.samples)
 
+    def test_failed_run_saves_and_loads_back(self, tmp_path, monkeypatch):
+        real, calls = sf_pipeline.train_flow, []
+
+        def diverging_at_stage_1(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise FloatingPointError("non-finite flow training loss")
+            return real(*args)
+
+        monkeypatch.setattr(sf_pipeline, "train_flow", diverging_at_stage_1)
+        with pytest.raises(PipelineError) as info:
+            train_pipeline(bundled_problem(), 12, 2, FAST_FLOW, FAST_TRAIN, Rng(6))
+        save_pipeline(info.value.pipeline, tmp_path / "b")
+        loaded = load_pipeline(tmp_path / "b")
+        assert len(loaded.flows) == 1
+        assert save_checkpoint(loaded.flows[0]) == save_checkpoint(info.value.pipeline.flows[0])
+
+    @pytest.mark.parametrize("unloadable", ["no_flows", "problem_built_directly"])
+    def test_refuses_what_load_could_not_read(self, tmp_path, unloadable):
+        pipe, _ = train_pipeline(bundled_problem(), 12, 0, FAST_FLOW, FAST_TRAIN, Rng(29))
+        save_pipeline(pipe, tmp_path / "b")
+        before = {f.name: f.read_bytes() for f in (tmp_path / "b").iterdir()}
+        if unloadable == "no_flows":
+            bad, match = TrainedPipeline(pipe.problem, [], seed=29, train_config=FAST_TRAIN), "no flows"
+        else:
+            bad, match = TrainedPipeline(tiny_problem(), pipe.flows, seed=29, train_config=FAST_TRAIN), "no config"
+        for target in (tmp_path / "b", tmp_path / "new" / "b"):
+            with pytest.raises(ValueError, match=match):
+                save_pipeline(bad, target)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["b"]
+        assert {f.name: f.read_bytes() for f in (tmp_path / "b").iterdir()} == before
+
     def test_bundle_files(self, tmp_path):
-        p = tiny_problem()
+        p = bundled_problem()
         pipe, _ = train_pipeline(p, 12, 2, FAST_FLOW, FAST_TRAIN, Rng(23))
         save_pipeline(pipe, tmp_path / "b")
         names = sorted(f.name for f in (tmp_path / "b").iterdir())
         assert names == ["flow_000.ckpt", "flow_001.ckpt", "flow_002.ckpt", "manifest.json"]
 
     def test_manifest_keys(self, tmp_path):
-        p = tiny_problem()
-        save_pipeline(TrainedPipeline(problem=p, flows=[CouplingFlow(2, 2, FAST_FLOW)], seed=3), tmp_path / "b")
+        pipe = TrainedPipeline(bundled_problem(), [CouplingFlow(2, 2, FAST_FLOW)], 3, FAST_TRAIN, config_hash="abc123")
+        save_pipeline(pipe, tmp_path / "b")
         manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
-        keys = ["config_hash", "format_version", "n_flows", "problem", "seed", "train_config", "x_dim", "y_dim"]
-        assert sorted(manifest) == keys
+        assert sorted(manifest) == ["config_hash", "format_version", "n_flows", "problem", "seed", "train_config"]
+        assert (manifest["problem"], load_pipeline(tmp_path / "b").config_hash) == (TINY_BLOCK, "abc123")
+
+    def test_manifest_with_dims_loads(self, tmp_path):
+        # manifests written before the dims were dropped still hold them; the loader ignores them
+        pipe, _ = train_pipeline(bundled_problem(), 12, 1, FAST_FLOW, FAST_TRAIN, Rng(20))
+        save_pipeline(pipe, tmp_path / "b")
+        path = tmp_path / "b" / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "x_dim": 2, "y_dim": 4}))
+        assert load_pipeline(tmp_path / "b").n_stages == 1
 
     def test_unsupported_format_version(self, tmp_path):
-        p = tiny_problem()
-        save_pipeline(TrainedPipeline(problem=p, flows=[CouplingFlow(2, 2, FAST_FLOW)], seed=3), tmp_path / "b")
+        pipe = TrainedPipeline(bundled_problem(), [CouplingFlow(2, 2, FAST_FLOW)], seed=3, train_config=FAST_TRAIN)
+        save_pipeline(pipe, tmp_path / "b")
         path = tmp_path / "b" / "manifest.json"
         path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 7}))
         with pytest.raises(CheckpointError, match="unsupported bundle format 7, expected 1"):
-            load_pipeline(tmp_path / "b", problem=p)
+            load_pipeline(tmp_path / "b")
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CheckpointError, match="manifest"):
             load_pipeline(tmp_path)
 
     def test_missing_checkpoint(self, tmp_path):
-        p = tiny_problem()
-        pipe, _ = train_pipeline(p, 12, 1, FAST_FLOW, FAST_TRAIN, Rng(24))
+        pipe, _ = train_pipeline(bundled_problem(), 12, 1, FAST_FLOW, FAST_TRAIN, Rng(24))
         save_pipeline(pipe, tmp_path / "b")
         (tmp_path / "b" / "flow_001.ckpt").unlink()
         with pytest.raises(CheckpointError, match="flow_001"):
-            load_pipeline(tmp_path / "b", problem=p)
+            load_pipeline(tmp_path / "b")
 
     def test_dim_mismatch(self, tmp_path):
-        p = tiny_problem()
-        pipe, _ = train_pipeline(p, 12, 0, FAST_FLOW, FAST_TRAIN, Rng(25))
+        # the problem block's dims are checked against each checkpoint's
+        pipe, _ = train_pipeline(bundled_problem(), 12, 0, FAST_FLOW, FAST_TRAIN, Rng(25))
         save_pipeline(pipe, tmp_path / "b")
-        other = tiny_problem(x_dim=3, y_dim=5)
-        with pytest.raises(CheckpointError, match="dims"):
-            load_pipeline(tmp_path / "b", problem=other)
+        path = tmp_path / "b" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["problem"]["x_dim"] = 3
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=r"flow_000\.ckpt .*\(2, 2\).*\(3, 3\)"):
+            load_pipeline(tmp_path / "b")
 
     @pytest.mark.parametrize("x_dim, cond_dim", [(3, 3), (2, 3)])
     def test_swapped_checkpoint_of_other_dims(self, tmp_path, x_dim, cond_dim):
-        p = tiny_problem()
-        pipe, _ = train_pipeline(p, 12, 1, FAST_FLOW, FAST_TRAIN, Rng(25))
+        pipe, _ = train_pipeline(bundled_problem(), 12, 1, FAST_FLOW, FAST_TRAIN, Rng(25))
         save_pipeline(pipe, tmp_path / "b")
         (tmp_path / "b" / "flow_001.ckpt").write_bytes(save_checkpoint(CouplingFlow(x_dim, cond_dim, FAST_FLOW)))
         with pytest.raises(CheckpointError, match=rf"flow_001\.ckpt .*\({x_dim}, {cond_dim}\).*\(2, 2\)"):
-            load_pipeline(tmp_path / "b", problem=p)
+            load_pipeline(tmp_path / "b")
 
     def test_shorter_bundle_replaces_longer_one(self, tmp_path):
-        p = tiny_problem()
+        p = bundled_problem()
         long, _ = train_pipeline(p, 12, 3, FAST_FLOW, FAST_TRAIN, Rng(26))
         save_pipeline(long, tmp_path / "b")
-        short = TrainedPipeline(problem=p, flows=long.flows[:2], seed=26)
+        short = TrainedPipeline(problem=p, flows=long.flows[:2], seed=26, train_config=FAST_TRAIN)
         save_pipeline(short, tmp_path / "b")
         assert sorted(f.name for f in tmp_path.iterdir()) == ["b"]
         assert sorted(f.name for f in (tmp_path / "b").iterdir()) == ["flow_000.ckpt", "flow_001.ckpt", "manifest.json"]
-        assert load_pipeline(tmp_path / "b", problem=p).n_stages == 1
+        assert load_pipeline(tmp_path / "b").n_stages == 1
 
     def test_failed_save_keeps_previous_bundle(self, tmp_path, monkeypatch):
-        p = tiny_problem()
+        p = bundled_problem()
         pipe, _ = train_pipeline(p, 12, 2, FAST_FLOW, FAST_TRAIN, Rng(27))
         save_pipeline(pipe, tmp_path / "b")
         before = {f.name: f.read_bytes() for f in (tmp_path / "b").iterdir()}
@@ -292,4 +341,4 @@ class TestBundle:
         assert len(calls) == 2
         assert sorted(f.name for f in tmp_path.iterdir()) == ["b"]
         assert {f.name: f.read_bytes() for f in (tmp_path / "b").iterdir()} == before
-        assert load_pipeline(tmp_path / "b", problem=p).n_stages == 2
+        assert load_pipeline(tmp_path / "b").n_stages == 2
