@@ -19,6 +19,7 @@ import csv
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import EvalConfig
 from .numerics import Rng, ShapeError
@@ -67,12 +68,10 @@ def ssim(estimate, truth, data_range: float) -> float:
         raise ShapeError(f"shapes disagree: {estimate.shape} vs {truth.shape}")
     if min(estimate.shape) < SSIM_WINDOW:
         raise ShapeError(f"image smaller than ssim window {SSIM_WINDOW}: {estimate.shape}")
-    from scipy.signal import convolve2d  # on first use, so importing scoreflow loads no SciPy
+    flipped = gaussian_kernel_2d(SSIM_WINDOW, 1.5)[::-1, ::-1]
 
-    kern = gaussian_kernel_2d(SSIM_WINDOW, 1.5)
-
-    def filt(img):
-        return convolve2d(img, kern, mode="valid")
+    def filt(img):  # the "valid" convolution: each full window contracted with the flipped kernel
+        return np.tensordot(sliding_window_view(img, flipped.shape), flipped, axes=2)
 
     mu1 = filt(estimate)
     mu2 = filt(truth)

@@ -92,16 +92,23 @@ class SpdMatrix:
     """Symmetric positive definite matrix stored via its lower Cholesky factor.
 
     One factorization up front makes sampling, solves, and log-determinants
-    O(d^2) afterwards.
+    O(d^2) afterwards. Solves are forward and back substitution over the
+    factor's rows, or one division when the factor is diagonal.
     """
 
     def __init__(self, chol_lower: np.ndarray):
         L = as_matrix(chol_lower, "chol_lower")
         if L.shape[0] != L.shape[1]:
             raise ShapeError(f"Cholesky factor must be square, got {L.shape}")
+        if not np.all(np.isfinite(L)):
+            raise NotSpdError("Cholesky factor must be finite")
         if np.any(np.diag(L) <= 0.0):
             raise NotSpdError("Cholesky factor must have strictly positive diagonal")
+        if np.any(np.triu(L, 1)):  # the solves read the lower triangle only, `dense` the whole factor
+            raise NotSpdError("Cholesky factor must be lower triangular")
         self.chol = L
+        # a diagonal factor solves by elementwise division: for a vector rhs, LAPACK's result bit for bit
+        self._diag = np.diag(L) if not np.any(np.tril(L, -1)) else None
 
     @property
     def dim(self) -> int:
@@ -125,15 +132,32 @@ class SpdMatrix:
     def dense(self) -> np.ndarray:
         return self.chol @ self.chol.T
 
-    def solve(self, b) -> np.ndarray:
-        """Solve m x = b via two triangular solves."""
+    def _rhs(self, b) -> np.ndarray:
         b = np.asarray(b, dtype=np.float64)
         if b.shape[0] != self.dim:
             raise ShapeError(f"rhs has leading dim {b.shape[0]}, expected {self.dim}")
-        from scipy.linalg import solve_triangular  # on first use, so importing scoreflow loads no SciPy
+        if not np.all(np.isfinite(b)):
+            raise ValueError("rhs must not contain infs or NaNs")
+        return b
 
-        w = solve_triangular(self.chol, b, lower=True)
-        return solve_triangular(self.chol.T, w, lower=False)
+    def _solve_lower(self, b: np.ndarray) -> np.ndarray:
+        """w with chol w = b, by forward substitution over the factor's rows."""
+        if self._diag is not None:
+            return b / self._diag.reshape((-1,) + (1,) * (b.ndim - 1))
+        L, w = self.chol, np.empty_like(b)
+        for i in range(self.dim):
+            w[i] = (b[i] - L[i, :i] @ w[:i]) / L[i, i]
+        return w
+
+    def solve(self, b) -> np.ndarray:
+        """Solve m x = b via two triangular solves."""
+        w = self._solve_lower(self._rhs(b))
+        if self._diag is not None:  # a diagonal factor is its own transpose
+            return self._solve_lower(w)
+        L, x = self.chol, np.empty_like(w)
+        for i in reversed(range(self.dim)):
+            x[i] = (w[i] - L[i + 1 :, i] @ x[i + 1 :]) / L[i, i]
+        return x
 
     def inverse_dense(self) -> np.ndarray:
         return self.solve(np.eye(self.dim))
@@ -143,9 +167,7 @@ class SpdMatrix:
 
     def quad_form(self, v) -> np.ndarray:
         """v^T m^{-1} v, batched over trailing columns of v."""
-        from scipy.linalg import solve_triangular  # on first use, so importing scoreflow loads no SciPy
-
-        w = solve_triangular(self.chol, np.asarray(v, dtype=np.float64), lower=True)
+        w = self._solve_lower(self._rhs(v))
         return np.sum(w * w, axis=0)
 
 

@@ -18,6 +18,8 @@ import numpy as np
 
 from .numerics import LOG_2PI, Rng, ShapeError, SpdMatrix
 
+_EPS = float(np.finfo(np.float64).eps)
+
 
 class InverseProblem:
     """Interface shared by all problems.
@@ -153,6 +155,28 @@ class LinearGaussianProblem(InverseProblem):
         return AnalyticPosterior(mean, SpdMatrix.from_dense(0.5 * (cov + cov.T)))
 
 
+def _gaussian_filter(img: np.ndarray, sigma: float) -> np.ndarray:
+    """SciPy's `ndimage.gaussian_filter(img, sigma, mode="constant")`, step for step, so prior draws keep
+    SciPy's bits: a normalized kernel of radius int(4 sigma + 0.5) over a zero-padded image, axis 0 then
+    axis 1, each output the centre tap plus (left + right) * weight from the outermost pair inward.
+    A sigma of at most 1e-15 leaves the image unfiltered."""
+    if sigma <= 1e-15:
+        return img
+    r = int(4.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * x**2)
+    w = w / w.sum()
+    for _ in range(2):  # filter axis 0, then transpose so that axis 1 comes next and the result ends upright
+        n = img.shape[0]
+        padded = np.zeros((n + 2 * r, img.shape[1]))
+        padded[r : r + n] = img
+        out = padded[r : r + n] * w[r]
+        for k in range(r):
+            out += (padded[k : k + n] + padded[2 * r - k : 2 * r - k + n]) * w[k]
+        img = out.T
+    return np.ascontiguousarray(img)  # in C order, as SciPy returns it: `std` sums in memory order
+
+
 def gaussian_kernel_2d(size: int, sigma: float) -> np.ndarray:
     """Normalized symmetric 2-D Gaussian kernel."""
     half = size // 2
@@ -221,9 +245,16 @@ class NonlinearToyProblem(InverseProblem):
         self._rim_mask[:, 0] = self._rim_mask[:, -1] = True
 
     def _blur(self, img):
-        from scipy.ndimage import convolve  # on first use, so importing scoreflow loads no SciPy
-
-        return convolve(img, self.kernel, mode="constant", cval=0.0)
+        """Zero-padded 3x3 convolution, as SciPy's `ndimage.convolve` sums it: the flipped kernel's taps
+        in row-major order, skipping taps of at most machine epsilon, so blurs keep SciPy's bits."""
+        g = self.grid
+        padded = np.zeros((g + 2, g + 2))
+        padded[1:-1, 1:-1] = img
+        out = np.zeros((g, g))
+        for (i, j), w in np.ndenumerate(self.kernel[::-1, ::-1]):
+            if abs(w) > _EPS:
+                out += padded[i : i + g, j : j + g] * w
+        return out
 
     def _activation(self, x):
         """tanh(alpha * blur(x)) on the whole grid: the forward map before rows are dropped."""
@@ -263,13 +294,7 @@ class NonlinearToyProblem(InverseProblem):
         return self._vjp(act, (y - act[: self.observed_rows].ravel()) / self.noise_std**2)
 
     def sample_prior(self, rng: Rng):
-        from scipy.ndimage import gaussian_filter  # on first use, so importing scoreflow loads no SciPy
-
-        field = gaussian_filter(
-            rng.standard_normal((self.grid, self.grid)),
-            sigma=self.blob_smoothness,
-            mode="constant",
-        )
+        field = _gaussian_filter(rng.standard_normal((self.grid, self.grid)), self.blob_smoothness)
         # smoothing shrinks the pointwise std; rescale to the configured level
         field *= self.blob_scale / max(field.std(), 1e-12)
         img = self.interior_base + field

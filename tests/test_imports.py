@@ -1,8 +1,9 @@
-"""What a fresh interpreter loads: SciPy and the thread pool of `numerics.ordered_map` are imported by
-the functions that use them, never at import time, and the pool only where a call has more than one
-item to run on more than one CPU.
+"""What a fresh interpreter loads: no SciPy module, ever, and the thread pool of `numerics.ordered_map`
+only where a call has more than one item to run on more than one CPU, imported by the function that
+uses it, never at import time.
 
-Each check runs in its own interpreter, since this test process has SciPy loaded already.
+Each check runs in its own interpreter, since this test process has SciPy loaded already (the tests
+use it as their reference).
 """
 
 import subprocess
@@ -40,6 +41,8 @@ def write_cfg(tmp_path, problem: dict, **training) -> Path:
         "flow": {"n_blocks": 2, "hidden": [8]},
         "training": {"n_train": 12, "stages": 1, "max_epochs": 2, "patience": 2, "n_s_train": 4, "n_s_infer": 8,
                      **training},
+        "eval": {"n_test": 2, "n_samples": 16},
+        "sweep": {"sizes": [8, 12]},
     }
     path = tmp_path / f"{problem['kind']}.yaml"
     path.write_text(yaml.safe_dump(raw))
@@ -66,8 +69,8 @@ assert "concurrent.futures" not in sys.modules
 
 def test_small_train_and_infer_start_no_thread_pool(tmp_path):
     # One slot per advance, and inverse passes of at most 256 rows, leave nothing to run beside the
-    # calling thread, even on 4 CPUs. SciPy's first use imports `concurrent.futures` (through
-    # numpy.testing) but not its pool module `concurrent.futures.thread`, which `ordered_map` imports.
+    # calling thread, even on 4 CPUs. The pool's module is `concurrent.futures.thread`, which
+    # `ordered_map` imports the first time it has more than one item for more than one CPU.
     cfg = write_cfg(tmp_path, {"kind": "linear_gaussian", "x_dim": 2, "y_dim": 4}, n_s_train=1, n_s_infer=256)
     (tmp_path / "y.txt").write_text("0.1\n" * 4)
     run_fresh(tmp_path, f"""
@@ -88,18 +91,20 @@ assert "concurrent.futures.thread" in sys.modules
 """)
 
 
-@pytest.mark.parametrize("problem, absent", [
-    ({"kind": "linear_gaussian", "x_dim": 2, "y_dim": 4}, ("scipy.signal", "scipy.ndimage")),
-    ({"kind": "nonlinear_toy"}, ("scipy.signal", "scipy.linalg")),
+@pytest.mark.parametrize("problem", [
+    {"kind": "linear_gaussian", "x_dim": 2, "y_dim": 4},
+    {"kind": "nonlinear_toy"},
 ], ids=["linear_gaussian", "nonlinear_toy"])
-def test_train_and_infer_load_only_the_scipy_they_call(tmp_path, problem, absent):
+def test_train_infer_evaluate_and_sweep_load_no_scipy(tmp_path, problem):
     cfg = write_cfg(tmp_path, problem)
     y_dim = problem_from_config(load_config(cfg).problem).y_dim
     (tmp_path / "y.txt").write_text("0.1\n" * y_dim)
     run_fresh(tmp_path, f"""
 from scoreflow.cli import main
-assert main(["train", "--config", {str(cfg)!r}, "--out", "out"]) == 0
-assert main(["infer", "--config", {str(cfg)!r}, "--bundle", "out/bundle", "--y", "y.txt", "--out", "inf"]) == 0
-loaded = [m for m in scipy_modules() if m.startswith({absent!r})]
-assert loaded == [], loaded
+cfg = {str(cfg)!r}
+assert main(["train", "--config", cfg, "--out", "out"]) == 0
+assert main(["infer", "--config", cfg, "--bundle", "out/bundle", "--y", "y.txt", "--out", "inf"]) == 0
+assert main(["evaluate", "--config", cfg, "--bundle", "out/bundle", "--out", "ev"]) == 0
+assert main(["sweep", "--config", cfg, "--out", "sw"]) == 0
+assert scipy_modules() == [], scipy_modules()
 """)

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from scoreflow.numerics import (
     NotSpdError,
@@ -99,6 +100,65 @@ class TestSpdMatrix:
         m = SpdMatrix.from_dense(a.T @ a + np.eye(4))
         b = rng.standard_normal(4)
         assert np.linalg.norm(m.dense() @ m.solve(b) - b) < 1e-10
+
+
+    def test_rejects_factor_with_entry_above_diagonal(self):
+        # the solves would read the lower triangle only, and `dense` the whole factor
+        with pytest.raises(NotSpdError, match="lower triangular"):
+            SpdMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_factor(self, bad):
+        with pytest.raises(NotSpdError, match="finite"):
+            SpdMatrix(np.array([[1.0, 0.0], [bad, 1.0]]))
+
+
+def lapack_solve(chol, b):
+    return solve_triangular(chol.T, solve_triangular(chol, b, lower=True), lower=False)
+
+
+def rel_err(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+def random_dense_spd(rng, d):
+    a = rng.standard_normal((d, d))
+    return SpdMatrix.from_dense(a @ a.T / d + np.eye(d))
+
+
+class TestSolvesAgainstLapack:
+    """SciPy's `solve_triangular` (LAPACK) is the reference the numpy solves replaced."""
+
+    @pytest.mark.parametrize("d", [1, 4, 64])
+    def test_diagonal_vector_solve_and_quad_form_bitwise(self, d):
+        rng = Rng(30 + d)
+        for diag in (np.full(d, 0.1**2), rng.uniform(1e-3, 10.0, d)):
+            m = SpdMatrix.diagonal(diag)
+            for _ in range(20):
+                b = rng.standard_normal(d) * rng.uniform(0.1, 100.0)
+                assert np.array_equal(m.solve(b), lapack_solve(m.chol, b))
+                w = solve_triangular(m.chol, b, lower=True)
+                assert np.array_equal(m.quad_form(b), np.sum(w * w, axis=0))
+
+    @pytest.mark.parametrize("d", [1, 5, 16, 40])
+    def test_dense_solves_and_inverse_within_1e15(self, d):
+        rng = Rng(40 + d)
+        for m in (random_dense_spd(rng, d), SpdMatrix.diagonal(rng.uniform(1e-3, 10.0, d))):
+            for b in (rng.standard_normal(d), rng.standard_normal((d, 3))):
+                assert rel_err(m.solve(b), lapack_solve(m.chol, b)) <= 1e-15
+                w = solve_triangular(m.chol, b, lower=True)
+                assert rel_err(m.quad_form(b), np.sum(w * w, axis=0)) <= 1e-15
+            assert rel_err(m.inverse_dense(), lapack_solve(m.chol, np.eye(d))) <= 1e-15
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "dense"])
+    def test_non_finite_rhs_raises(self, bad, diagonal):
+        m = SpdMatrix.diagonal([1.0, 2.0, 3.0]) if diagonal else random_dense_spd(Rng(50), 3)
+        b = np.array([1.0, bad, 0.5])
+        with pytest.raises(ValueError):
+            m.solve(b)
+        with pytest.raises(ValueError):
+            m.quad_form(b)
 
 
 class TestOrderedMap:

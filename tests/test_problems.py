@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.ndimage import convolve, gaussian_filter
 
+from scoreflow.config import problem_from_config, validate_config
 from scoreflow.numerics import LOG_2PI, Rng, ShapeError, SpdMatrix
 from scoreflow.problems import (
     LinearGaussianProblem,
@@ -243,8 +245,6 @@ class TestNonlinearToy:
     @staticmethod
     def _reference_score(p, x0, y):
         # the score as forward then forward_vjp computed it, with three blurs
-        from scipy.ndimage import convolve
-
         def blur(img):
             return convolve(img, p.kernel, mode="constant", cval=0.0)
 
@@ -298,6 +298,32 @@ class TestNonlinearToy:
         assert abs(draws.mean() - 0.5) < 0.02
         # pointwise std is rescaled to the configured level per draw
         assert abs(draws.std() - 0.3) < 0.05
+
+    @staticmethod
+    def _reference_prior(p, rng):
+        # the prior draw as it was computed with SciPy's gaussian_filter
+        field = gaussian_filter(rng.standard_normal((p.grid, p.grid)), sigma=p.blob_smoothness, mode="constant")
+        field *= p.blob_scale / max(field.std(), 1e-12)
+        img = p.interior_base + field
+        img[p._rim_mask] = p.rim_center + rng.uniform(-p.rim_halfwidth, p.rim_halfwidth, int(p._rim_mask.sum()))
+        return img.ravel()
+
+    # (5, 3.0) has a kernel radius of 12, wider than the grid; 0.0 leaves the field unfiltered
+    @pytest.mark.parametrize("grid, sigma", [(4, 0.3), (8, 1.0), (16, 2.0), (16, 3.7), (5, 3.0), (12, 0.1), (6, 0.0)])
+    def test_prior_draws_equal_scipy_gaussian_filter_bitwise(self, grid, sigma):
+        block = {"kind": "nonlinear_toy", "grid": grid, "observed_rows": 2, "blob_smoothness": sigma}
+        p = problem_from_config(validate_config({"problem": block}).problem)
+        for k in range(10):
+            assert np.array_equal(p.sample_prior(Rng(60).child(k)), self._reference_prior(p, Rng(60).child(k)))
+
+    # at blur_sigma 0.15 the corner taps are below machine epsilon, and SciPy skips them
+    @pytest.mark.parametrize("blur_sigma", [0.15, 0.5, 1.0, 2.5])
+    def test_blur_equals_scipy_convolve_bitwise(self, blur_sigma):
+        p = NonlinearToyProblem(grid=12, observed_rows=4, blur_sigma=blur_sigma)
+        rng = Rng(70)
+        for k in range(20):
+            img = rng.standard_normal((12, 12)) * 10.0 ** (k % 5 - 2)
+            assert np.array_equal(p._blur(img), convolve(img, p.kernel, mode="constant", cval=0.0))
 
     def test_default_fiducial_layout(self):
         p = NonlinearToyProblem(fiducial_interior=0.25, rim_center=1.5)
