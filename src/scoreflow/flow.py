@@ -16,6 +16,14 @@ condition's term cn @ W_c + b is computed once per (block, condition) by
 broadcasts one row of it over all its draws, and `advance_stage` reuses a
 stage's terms across all its latent slots.
 
+Precision: `forward`, `inverse`, training, normalization and checkpoints are
+float64. The Monte Carlo passes, `sample` and `advance_stage`, run their
+coupling blocks in `SAMPLE_DTYPE` (float32): `condition(cond, SAMPLE_DTYPE)`
+casts `params` once and pairs each term with a net viewing that cast, so the
+float32 weights live only as long as those terms. Latents are drawn in
+float64 and rounded to float32; each pass scales by `x_scale`, adds `x_mean`
+and returns in float64.
+
 Training is maximum likelihood on (x, cond) pairs: the loss is the batch
 mean of 0.5*||z||^2 - log_det. Note this drops the (d/2)*log(2*pi) base
 density constant, which does not move the minimizer; `log_prob` includes
@@ -55,6 +63,9 @@ MIN_LR = 1e-5
 # CPU. A constant, not a setting: BLAS may round a row by an ulp differently for
 # another block size, so a fixed size keeps outputs the same whatever the CPU count.
 INVERSE_ROWS = 256
+
+# the coupling passes of `sample` and `advance_stage` (see module doc)
+SAMPLE_DTYPE = np.float32
 
 
 class CheckpointError(ValueError):
@@ -192,8 +203,7 @@ class CouplingFlow:
         self.changed = transformed_halves(self.x_dim, cfg.n_blocks)
         self._shapes = [s for c in self.changed for s in net_shapes(self.x_dim, self.cond_dim, self.hidden, c)]
         self.params = np.zeros(sum(math.prod(s) for s in self._shapes))
-        widths = half_widths(self.x_dim)
-        self.nets = [ConditioningNet(widths[1 - c], *views) for c, views in zip(self.changed, self.views(self.params))]
+        self.nets = self._nets(self.params)
         self.x_mean = np.zeros(self.x_dim)
         self.x_scale = np.ones(self.x_dim)
         self.cond_mean = np.zeros(self.cond_dim)
@@ -217,6 +227,11 @@ class CouplingFlow:
         arrays = [a.reshape(s) for a, s in zip(np.split(vec, ends), self._shapes)]
         n = 2 * len(self.hidden) + 2  # arrays per block
         return [(arrays[k : k + n : 2], arrays[k + 1 : k + n : 2]) for k in range(0, len(arrays), n)]
+
+    def _nets(self, vec: np.ndarray) -> list[ConditioningNet]:
+        """Per block, the conditioning net whose weights are views into `vec`."""
+        widths = half_widths(self.x_dim)
+        return [ConditioningNet(widths[1 - c], *views) for c, views in zip(self.changed, self.views(vec))]
 
     def set_normalization(self, x_mean, x_scale, cond_mean, cond_scale):
         """Copies of the four vectors become the flow's; if any is refused, the flow keeps its own."""
@@ -291,30 +306,36 @@ class CouplingFlow:
         """Map x to latent z; returns (z, log_det) with log_det per sample."""
         return self._forward_impl(x, cond, want_cache=False)
 
-    def condition(self, cond) -> list[np.ndarray]:
-        """Per-block condition terms of the rows of `cond`, for `inverse`."""
+    def condition(self, cond, dtype=np.float64) -> list[tuple[ConditioningNet, np.ndarray]]:
+        """Per block, (net, condition term) of the rows of `cond` in `dtype`, for
+        `inverse`. For another dtype than float64 the nets are views into one cast
+        of `params` that lives as long as the returned pairs."""
         cn = (self._rows(cond, self.cond_dim, "cond") - self.cond_mean) / self.cond_scale
-        return [net.condition(cn) for net in self.nets]
+        nets = self.nets if dtype == np.float64 else self._nets(self.params.astype(dtype))
+        cn = cn.astype(dtype, copy=False)
+        return [(net, net.condition(cn)) for net in nets]
 
     def inverse(self, z, terms):
         """Map latent z back to x given the terms `condition` computed, so that
         several passes on the same conditions compute them once. `terms` has
-        one row per row of z, or a single row shared by all of them. Returns
+        one row per row of z, or a single row shared by all of them. The coupling
+        blocks run in the terms' dtype; x comes back in float64. Returns
         (x, log_det) with the forward's log_det negated at the corresponding point.
         More than `INVERSE_ROWS` + 1 rows run in row blocks of `INVERSE_ROWS`
         through `ordered_map`, on every usable CPU."""
         z = self._rows(z, self.x_dim, "x")
-        if len(terms) != len(self.nets) or len(terms[0]) not in (1, len(z)):
+        if len(terms) != len(self.nets) or len(terms[0][1]) not in (1, len(z)):
             raise ShapeError(f"terms must be `condition`'s for 1 or {len(z)} rows")
+        z = z.astype(terms[0][1].dtype, copy=False)
         # a 1-row remainder joins the last block, as BLAS rounds 1-row products another way
         starts = range(0, len(z) - 1, INVERSE_ROWS)
         if len(starts) <= 1:
             return self._inverse(z, terms)
-        shared = len(terms[0]) == 1
+        shared = len(terms[0][1]) == 1
 
         def block(start):
             rows = slice(start, None if start == starts[-1] else start + INVERSE_ROWS)
-            return rows, self._inverse(z[rows], terms if shared else [t[rows] for t in terms])
+            return rows, self._inverse(z[rows], terms if shared else [(net, t[rows]) for net, t in terms])
 
         x, log_det = np.empty(z.shape), np.empty(len(z))
         for rows, (x_rows, log_det_rows) in ordered_map(block, starts):
@@ -322,13 +343,13 @@ class CouplingFlow:
         return x, log_det
 
     def _inverse(self, z, terms):
-        """`inverse` on checked float64 arguments in one pass; `inverse` and
-        `advance_stage` call it from worker threads. Each coupling block gives its
-        transformed half one new array and updates it in place; both halves are
-        then scaled into one output array."""
+        """`inverse` on checked arguments of the terms' dtype in one pass; `inverse`
+        and `advance_stage` call it from worker threads. Each coupling block gives
+        its transformed half one new array and updates it in place; both halves are
+        then scaled into one float64 output array."""
         halves = self._split(z)
         log_det = np.full(len(z), np.sum(np.log(self.x_scale)))
-        for i, net, cterm in zip(reversed(self.changed), reversed(self.nets), reversed(terms)):
+        for i, (net, cterm) in zip(reversed(self.changed), reversed(terms)):
             s, t, _ = self._coupling(net, halves[1 - i], cterm)
             log_det -= s.sum(axis=1)
             halves[i] = halves[i] - t  # never in place: a half starts as a view of z
@@ -376,14 +397,15 @@ class CouplingFlow:
         return loss, grad
 
     def sample(self, cond_vec, n: int, rng: Rng) -> np.ndarray:
-        """n conditional draws via the inverse flow on standard-normal latents."""
+        """n conditional draws via the inverse flow on standard-normal latents,
+        with the coupling blocks in `SAMPLE_DTYPE`."""
         cond_vec = np.asarray(cond_vec, dtype=np.float64)
         if cond_vec.shape != (self.cond_dim,):
             raise ShapeError(f"cond must have shape ({self.cond_dim},), got {cond_vec.shape}")
         if n < 1:
             raise ValueError("n must be >= 1")
         z = rng.standard_normal((n, self.x_dim))
-        x, _ = self.inverse(z, self.condition(cond_vec[None, :]))
+        x, _ = self.inverse(z, self.condition(cond_vec[None, :], SAMPLE_DTYPE))
         return x
 
 

@@ -15,7 +15,6 @@ whose mean is the point estimate and whose std is `final_std`.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -230,14 +229,13 @@ def sweep_training_size(
 
 
 def write_csv(path, header: list[str], rows, config_hash: str = "") -> None:
-    """Every CSV artifact: an optional `# config_hash=` line, the header, then the rows.
-    `csv` writes each float as its shortest round-trip decimal, so it reads back exactly."""
+    """Every CSV artifact: an optional `# config_hash=` line, the header, then the rows,
+    each ended by CRLF. `str` gives each float its shortest round-trip decimal, so it
+    reads back exactly; no field holds a comma, quote or line break, so none is quoted."""
     with open(path, "w", newline="") as fh:
         if config_hash:
             fh.write(f"# config_hash={config_hash}\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.writelines(",".join(map(str, row)) + "\r\n" for row in [header, *rows])
 
 
 def write_records_csv(report: MetricReport, path, config_hash: str = "") -> None:

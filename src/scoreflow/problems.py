@@ -226,6 +226,8 @@ class NonlinearToyProblem(InverseProblem):
             raise ValueError(f"observed_rows must be in [1, {grid}], got {observed_rows}")
         if not (noise_std > 0 and blur_sigma > 0):
             raise ValueError(f"need noise_std > 0 and blur_sigma > 0, got {noise_std} and {blur_sigma}")
+        if not (blob_scale >= 0 and blob_smoothness >= 0):
+            raise ValueError(f"need blob_scale >= 0 and blob_smoothness >= 0, got {blob_scale} and {blob_smoothness}")
         self.grid = int(grid)
         self.observed_rows = int(observed_rows)
         self.x_dim = self.grid * self.grid

@@ -520,8 +520,11 @@ class TestBadInputs:
         [
             ({"kind": "nonlinear_toy", "observed_rows": 0}, "observed_rows must be in [1, 16]"),
             ({"kind": "linear_gaussian", "x_dim": 0}, "x_dim and y_dim must be >= 1"),
+            ({"kind": "nonlinear_toy", "blob_scale": -0.8}, "need blob_scale >= 0 and blob_smoothness >= 0, got -0.8"),
+            ({"kind": "nonlinear_toy", "blob_smoothness": -2.0},
+             "need blob_scale >= 0 and blob_smoothness >= 0, got 0.8 and -2.0"),
         ],
-        ids=["toy_observed_rows", "linear_x_dim"],
+        ids=["toy_observed_rows", "linear_x_dim", "toy_blob_scale", "toy_blob_smoothness"],
     )
     def test_out_of_range_problem_value(self, tmp_path, capsys, command, problem, message):
         path = tmp_path / "bad.yaml"

@@ -11,6 +11,7 @@ from scoreflow.flow import (
     LR_FACTOR,
     LR_PATIENCE,
     MIN_LR,
+    SAMPLE_DTYPE,
     Adam,
     CheckpointError,
     CouplingFlow,
@@ -268,11 +269,13 @@ class TestMatchesMaskReference:
 
     @pytest.mark.parametrize("x_dim", [1, 3, 16])
     def test_sample_with_shared_condition(self, x_dim):
+        # sampling runs its coupling blocks in float32: within float32 rounding of the float64 reference
         flow, rng = self._flow(x_dim, seed=60 + x_dim)
         cond = rng.standard_normal(3)
         got = flow.sample(cond, 40, Rng(5))
         ref, _ = inverse_reference(flow, Rng(5).standard_normal((40, x_dim)), np.tile(cond, (40, 1)))
-        assert rel_err(got, ref) <= 1e-12
+        assert got.dtype == np.float64
+        assert rel_err(got, ref) <= 1e-5
 
     def test_inverse_reuses_terms(self):
         flow, rng = self._flow(5, seed=80)
@@ -572,8 +575,8 @@ class TestSampling:
         flow = small_flow(x_dim=2, cond_dim=1, randomize=0.0)
         cond = np.zeros(1)
         got = flow.sample(cond, 50, Rng(42))
-        expected = Rng(42).standard_normal((50, 2))
-        assert np.array_equal(got, expected)
+        expected = Rng(42).standard_normal((50, 2)).astype(np.float32)  # the latents as the passes hold them
+        assert got.dtype == np.float64 and np.array_equal(got, expected)
 
     def test_trained_conditional_moments(self):
         rng = Rng(77)
@@ -604,6 +607,65 @@ class TestSampling:
         flow = small_flow()
         with pytest.raises(ValueError):
             flow.sample(np.zeros(2), 0, Rng(0))
+
+
+def traced_growth(call):
+    """Bytes still allocated after `call()` returns and its result is dropped."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestFloat32Sampling:
+    """`sample` runs its coupling blocks in `SAMPLE_DTYPE`; `inverse` and the flow stay float64."""
+
+    def _flow(self, seed=95):
+        # hidden widths large enough that a kept float32 copy of `params` would show
+        flow = small_flow(x_dim=16, cond_dim=4, n_blocks=3, hidden=(64, 64), seed=seed, randomize=0.3)
+        rng = Rng(seed + 1)
+        flow.set_normalization(rng.standard_normal(16), np.exp(0.3 * rng.standard_normal(16)),
+                               rng.standard_normal(4), np.exp(0.3 * rng.standard_normal(4)))
+        return flow, rng
+
+    def test_condition_casts_into_transient_nets(self):
+        flow, rng = self._flow()
+        pairs = flow.condition(rng.standard_normal((5, 4)), SAMPLE_DTYPE)
+        for (net, term), own in zip(pairs, flow.nets):
+            assert term.dtype == SAMPLE_DTYPE and all(W.dtype == SAMPLE_DTYPE for W in net.weights)
+            assert not np.shares_memory(net.weights[0], flow.params)
+            assert np.array_equal(net.weights[0], own.weights[0].astype(SAMPLE_DTYPE))
+        assert all(net is own for (net, _), own in zip(flow.condition(np.zeros((1, 4))), flow.nets))
+
+    def test_sample_leaves_no_float32_array_on_the_flow(self):
+        flow, rng = self._flow()
+        keys = set(vars(flow))
+        cond = rng.standard_normal(4)
+        flow.sample(cond, 300, Rng(3))  # warm-up: lazy set-up inside numpy and the pool
+        grown = traced_growth(lambda: flow.sample(cond, 300, Rng(3)))
+        assert set(vars(flow)) == keys
+        assert all(v.dtype == np.float64 for v in vars(flow).values() if isinstance(v, np.ndarray))
+        assert grown < flow.params.nbytes // 20  # a kept float32 copy would be half of params.nbytes
+
+    def test_inverse_still_matches_float64_reference_after_sampling(self):
+        flow, rng = self._flow()
+        flow.sample(rng.standard_normal(4), 50, Rng(4))
+        c, z = rng.standard_normal((12, 4)), rng.standard_normal((12, 16))
+        x, ld = flow.inverse(z, flow.condition(c))
+        x_ref, ld_ref = inverse_reference(flow, z, c)
+        assert x.dtype == np.float64 and rel_err(x, x_ref) <= 1e-12 and rel_err(ld, ld_ref) <= 1e-12
+
+    def test_same_on_one_and_two_cpus(self, monkeypatch):
+        flow, rng = self._flow()
+        cond = rng.standard_normal(4)
+        got = []
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            got.append(flow.sample(cond, 1000, Rng(6)))
+        assert np.array_equal(got[0], got[1])
 
 
 class TestPosteriorMeanEstimate:

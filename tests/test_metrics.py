@@ -1,3 +1,4 @@
+import csv
 from dataclasses import astuple
 
 import numpy as np
@@ -353,6 +354,18 @@ class TestCsvWriters:
         for line, record in zip(lines[2:], rep.records):
             for text, value in zip(line.split(","), astuple(record), strict=True):
                 assert float(text) == value or (np.isnan(value) and text == "nan")
+
+    def test_rows_are_the_bytes_csv_writer_writes(self, tmp_path):
+        # ints, floats at the edges of repr's formats, nan, +-inf and np.float64 values
+        values = [0, -7, 2**70, 0.0, -0.0, 0.1, 5e-324, 1e16, 1e-5, 1.7976931348623157e308, np.nan, np.inf, -np.inf]
+        values += list(np.float64([0.1, -0.0, 5e-324, 1e16, 1e-5, 123456.789, np.nan, -np.inf]))
+        values += list(Rng(18).standard_normal(200) * 10.0 ** Rng(19).uniform(-30, 30, 200))
+        rows = [values[i : i + 7] for i in range(0, len(values), 7)]
+        sf_metrics.write_csv(tmp_path / "new.csv", ["a", "b_c", "x0"], rows, config_hash="f00d")
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            fh.write("# config_hash=f00d\n")
+            csv.writer(fh).writerows([["a", "b_c", "x0"], *rows])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_summary_and_sweep(self, tmp_path):
         p = tiny_problem()

@@ -339,6 +339,13 @@ class TestNonlinearToy:
         assert top.sum() == 6 * 16
         assert np.all(bot ^ top)
 
+    # a negative scale would flip the field; a negative smoothness would draw like 0
+    @pytest.mark.parametrize("setting", [{"blob_scale": -0.1}, {"blob_smoothness": -1.0},
+                                         {"blob_scale": float("nan")}])
+    def test_negative_blob_settings_rejected(self, setting):
+        with pytest.raises(ValueError, match=r"need blob_scale >= 0 and blob_smoothness >= 0"):
+            NonlinearToyProblem(**setting)
+
     def test_observed_rows_validation(self):
         with pytest.raises(ValueError):
             NonlinearToyProblem(grid=16, observed_rows=0)
