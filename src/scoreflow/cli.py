@@ -12,16 +12,17 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config, problem_from_config
-from .flow import CheckpointError
+from .flow import CheckpointError, FlowConfig
 from .metrics import evaluate_testset, sweep_training_size
 from .metrics import write_csv, write_records_csv, write_summary_csv, write_sweep_csv
 from .numerics import Rng, ShapeError
-from .pipeline import PipelineError, TrainedPipeline, infer, load_pipeline, save_pipeline, train_pipeline
+from .pipeline import PipelineError, TrainedPipeline, infer, load_pipeline, read_manifest, save_pipeline, train_pipeline
 from .pipeline import intermediate_trajectory  # noqa: F401  (bound here; bench/tracer.py patches it)
 from .summary import build_stage0, save_dataset
 
@@ -93,14 +94,27 @@ def cmd_train(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _load_bundle(bundle_dir: str, cfg: RunConfig) -> TrainedPipeline:
-    """The bundle's pipeline, refused unless the config's `problem` block is the one it was trained on."""
-    pipeline = load_pipeline(bundle_dir)
-    bundle, config = pipeline.problem.config, cfg.problem
-    diffs = [f"problem.{k} is {bundle.get(k, 'absent')} in the bundle and {config.get(k, 'absent')} in the config"
+def _refuse_other(what: str, block: str, bundle: dict, config: dict) -> None:
+    """ConfigError "<what>: <block>.<key> is <value> in the bundle and <value> in the config; ..." naming
+    every key whose values differ, unless none does."""
+    diffs = [f"{block}.{k} is {bundle.get(k, 'absent')} in the bundle and {config.get(k, 'absent')} in the config"
              for k in sorted(bundle.keys() | config.keys()) if bundle.get(k) != config.get(k)]
     if diffs:
-        raise ConfigError(f"bundle {bundle_dir} was trained on another problem: {'; '.join(diffs)}")
+        raise ConfigError(f"{what}: {'; '.join(diffs)}")
+
+
+def _load_bundle(bundle_dir: str, cfg: RunConfig) -> TrainedPipeline:
+    """The bundle's pipeline, refused unless the config's `problem`, `training` and `flow` settings are the
+    ones it was trained with. The manifest's problem block and training schedule are compared before
+    anything they size is built; `n_train` and `stages` are not recorded in a bundle, so they go unchecked."""
+    manifest = read_manifest(bundle_dir)
+    _refuse_other(f"bundle {bundle_dir} was trained on another problem", "problem", manifest["problem"], cfg.problem)
+    _refuse_other(f"bundle {bundle_dir} was trained on another schedule", "training",
+                  asdict(manifest["train_config"]), asdict(cfg.train_config()))
+    pipeline, flow_config = load_pipeline(bundle_dir), asdict(cfg.flow_config())
+    for j, flow in enumerate(pipeline.flows):
+        _refuse_other(f"checkpoint flow_{j:03d}.ckpt of bundle {bundle_dir} holds another flow", "flow",
+                      asdict(FlowConfig(len(flow.nets), flow.hidden, flow.s_max)), flow_config)
     return pipeline
 
 

@@ -7,9 +7,12 @@ each value must have its default's type. The `flow`, `training` and
 `eval` defaults are the fields of `FlowConfig`, `TrainConfig` and
 `EvalConfig`, and each problem kind's defaults are its builder's keyword
 defaults, so every setting is defined once; so is each range rule, on
-its class. Every output artifact embeds the sha256 hash of the
-canonicalized config without its `paths` block, so results can be traced
-back to their exact settings wherever they were written.
+its class. The sha256 hash of the canonicalized config without its
+`paths` block is embedded in both manifests (`dataset_manifest.json`
+and a bundle's `manifest.json`) and in every CSV except `samples.csv`,
+`mean.csv` and `std.csv`; the binary dataset and checkpoints do not hold
+it. So those results can be traced back to their exact settings wherever
+they were written.
 """
 
 from __future__ import annotations

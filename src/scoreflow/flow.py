@@ -185,6 +185,11 @@ def net_shapes(x_dim: int, cond_dim: int, hidden, changed: int) -> list[tuple[in
     return [shape for fan_in, fan_out in zip(w, w[1:]) for shape in ((fan_in, fan_out), (fan_out,))]
 
 
+def param_shapes(x_dim: int, cond_dim: int, cfg: FlowConfig) -> list[tuple[int, ...]]:
+    """Shapes of the arrays of a flow's parameter vector, in order: block by block, its net's `net_shapes`."""
+    return [s for c in transformed_halves(x_dim, cfg.n_blocks) for s in net_shapes(x_dim, cond_dim, cfg.hidden, c)]
+
+
 class CouplingFlow:
     """Stack of conditional affine coupling blocks with input normalization.
 
@@ -194,15 +199,15 @@ class CouplingFlow:
     the log-det.
     """
 
-    def __init__(self, x_dim, cond_dim, cfg: FlowConfig):
-        """A flow with every parameter zero; see `create` for a trainable start."""
+    def __init__(self, x_dim, cond_dim, cfg: FlowConfig, params=None):
+        """A flow whose parameters are views into `params` (`param_shapes`' layout), or all zero if it is None."""
         self.x_dim = int(x_dim)
         self.cond_dim = int(cond_dim)
         self.hidden = cfg.hidden
         self.s_max = float(cfg.s_max)
         self.changed = transformed_halves(self.x_dim, cfg.n_blocks)
-        self._shapes = [s for c in self.changed for s in net_shapes(self.x_dim, self.cond_dim, self.hidden, c)]
-        self.params = np.zeros(sum(math.prod(s) for s in self._shapes))
+        self._shapes = param_shapes(self.x_dim, self.cond_dim, cfg)
+        self.params = np.zeros(sum(math.prod(s) for s in self._shapes)) if params is None else params
         self.nets = self._nets(self.params)
         self.x_mean = np.zeros(self.x_dim)
         self.x_scale = np.ones(self.x_dim)
@@ -234,12 +239,15 @@ class CouplingFlow:
         return [ConditioningNet(widths[1 - c], *views) for c, views in zip(self.changed, self.views(vec))]
 
     def set_normalization(self, x_mean, x_scale, cond_mean, cond_scale):
-        """Copies of the four vectors become the flow's; if any is refused, the flow keeps its own."""
+        """Copies of the four vectors become the flow's; if any is refused (a non-finite one with the
+        FloatingPointError training reports as divergence), the flow keeps its own."""
         values = [np.array(v, dtype=np.float64) for v in (x_mean, x_scale, cond_mean, cond_scale)]
         dims = (self.x_dim, self.x_dim, self.cond_dim, self.cond_dim)
         for name, v, d in zip(("x_mean", "x_scale", "cond_mean", "cond_scale"), values, dims):
             if v.shape != (d,):
                 raise ShapeError(f"{name} must have shape ({d},), got {v.shape}")
+            if not np.all(np.isfinite(v)):
+                raise FloatingPointError(f"{name} must be finite")
         if np.any(values[1] <= 0.0) or np.any(values[3] <= 0.0):
             raise ValueError("normalization scales must be positive")
         self.x_mean, self.x_scale, self.cond_mean, self.cond_scale = values
@@ -535,7 +543,7 @@ def save_checkpoint(flow: CouplingFlow) -> bytes:
 
 
 def load_checkpoint(data: bytes) -> CouplingFlow:
-    """Reconstruct a flow from `save_checkpoint` output, validating layout."""
+    """Reconstruct a flow from `save_checkpoint` output, read front to back; the flow adopts the vector read."""
     r = ByteReader(data, CHECKPOINT_MAGIC, CheckpointError, "checkpoint")
     version, x_dim, cond_dim, n_blocks, n_hidden = r.unpack("<IIIII")
     if version != CHECKPOINT_VERSION:
@@ -548,27 +556,17 @@ def load_checkpoint(data: bytes) -> CouplingFlow:
         raise CheckpointError(f"checkpoint {exc}") from exc
     if x_dim < 1:
         raise CheckpointError("checkpoint x_dim must be at least 1")
-    expected = _checkpoint_length(x_dim, cond_dim, n_blocks, hidden)
-    if expected > len(data):
-        raise CheckpointError(f"checkpoint truncated: header implies {expected} bytes, got {len(data)}")
-    if expected < len(data):
-        raise CheckpointError("trailing bytes after checkpoint payload")
+    # every layer of every block stores at least a one-float bias, which bounds the shapes `param_shapes` lists
+    if n_blocks * (n_hidden + 1) * 8 > len(data):
+        raise CheckpointError("checkpoint truncated")
     norms = [r.array(d, "<f8") for d in (x_dim, x_dim, cond_dim, cond_dim)]
-    out = CouplingFlow(x_dim, cond_dim, cfg)
-    # the exact length check makes the parameter vector the payload's tail; copy it in once
-    out.params[...] = np.frombuffer(data, "<f8", out.params.size, len(data) - out.params.nbytes)
+    params = r.array(sum(math.prod(s) for s in param_shapes(x_dim, cond_dim, cfg)), "<f8")
+    r.finish()
+    if not np.all(np.isfinite(params)):
+        raise CheckpointError("checkpoint parameters must be finite")
+    out = CouplingFlow(x_dim, cond_dim, cfg, params)
     try:
         out.set_normalization(*norms)
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         raise CheckpointError(f"checkpoint normalization: {exc}") from exc
     return out
-
-
-def _checkpoint_length(x_dim: int, cond_dim: int, n_blocks: int, hidden) -> int:
-    """Byte length `save_checkpoint` writes for this header, in closed form."""
-    n_hi = n_blocks if x_dim == 1 else (n_blocks + 1) // 2
-    floats = 2 * x_dim + 2 * cond_dim
-    for changed, count in ((1, n_hi), (0, n_blocks - n_hi)):
-        floats += count * sum(math.prod(s) for s in net_shapes(x_dim, cond_dim, hidden, changed))
-    header = len(CHECKPOINT_MAGIC) + 5 * 4 + 8 + 4 * len(hidden)
-    return header + 8 * floats

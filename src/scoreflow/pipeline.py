@@ -107,8 +107,8 @@ def train_pipeline(
         flow = CouplingFlow.create(problem.x_dim, problem.x_dim, rng.child(_KEY_FLOW_INIT, j), flow_cfg)
         dx_tr, ybar_tr = ds.train_arrays()
         dx_val, ybar_val = ds.val_arrays()
-        flow.fit_normalization(dx_tr, ybar_tr)
         try:
+            flow.fit_normalization(dx_tr, ybar_tr)
             history = train_flow(flow, dx_tr, ybar_tr, dx_val, ybar_val, rng.child(_KEY_TRAIN, j), train_cfg)
         except FloatingPointError as exc:
             raise PipelineError(f"flow training diverged at stage {j}: {exc}", pipeline) from exc
@@ -198,8 +198,8 @@ def save_pipeline(pipeline: TrainedPipeline, out_dir) -> None:
         shutil.rmtree(scratch, ignore_errors=True)
 
 
-def load_pipeline(bundle_dir) -> TrainedPipeline:
-    """Load a bundle, with its problem rebuilt from the manifest's `problem` block."""
+def read_manifest(bundle_dir) -> dict:
+    """A bundle's manifest, its form checked and its `train_config` made a `TrainConfig`; `problem` stays as read."""
     bundle = Path(bundle_dir)
     manifest_path = bundle / "manifest.json"
     if not manifest_path.exists():
@@ -220,11 +220,21 @@ def load_pipeline(bundle_dir) -> TrainedPipeline:
     if version != BUNDLE_FORMAT_VERSION:
         raise CheckpointError(f"unsupported bundle format {version}, expected {BUNDLE_FORMAT_VERSION}")
     try:
-        problem = problem_from_config(manifest["problem"])
         tc = complete_block("train_config", asdict(TrainConfig()), manifest["train_config"])
-        train_config = from_block(TrainConfig, "train_config", tc)
+        manifest["train_config"] = from_block(TrainConfig, "train_config", tc)
     except ConfigError as exc:
         raise CheckpointError(f"bundle manifest {manifest_path}: {exc}") from exc
+    return manifest
+
+
+def load_pipeline(bundle_dir) -> TrainedPipeline:
+    """Load a bundle, with its problem rebuilt from the manifest's `problem` block."""
+    bundle = Path(bundle_dir)
+    manifest = read_manifest(bundle)
+    try:
+        problem = problem_from_config(manifest["problem"])
+    except ConfigError as exc:
+        raise CheckpointError(f"bundle manifest {bundle / 'manifest.json'}: {exc}") from exc
     flows = []
     for j in range(manifest["n_flows"]):
         path = bundle / f"flow_{j:03d}.ckpt"
@@ -242,5 +252,5 @@ def load_pipeline(bundle_dir) -> TrainedPipeline:
         flows=flows,
         seed=manifest["seed"],
         config_hash=manifest["config_hash"],
-        train_config=train_config,
+        train_config=manifest["train_config"],
     )

@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -321,6 +322,12 @@ def _dims_disagree(bundle):
     edit_manifest(bundle, lambda m: m["problem"].update(x_dim=3))
 
 
+def _forged_header(bundle):
+    # a header claiming 60000 blocks of 60000 one-wide layers, padded to 720 KB
+    header = b"SFLOWCKP" + struct.pack("<IIIIId", 2, 2, 2, 60000, 60000, 2.0) + struct.pack("<60000I", *[1] * 60000)
+    (bundle / "flow_000.ckpt").write_bytes(header + bytes(720_000 - len(header)))
+
+
 def _drop_seed(bundle):
     edit_manifest(bundle, lambda m: m.pop("seed"))
 
@@ -339,11 +346,14 @@ class TestBadBundles:
             (None, "no manifest.json in bundle {bundle}"),
             ("file", "no manifest.json in bundle {bundle}"),
             (_missing_checkpoint, "missing checkpoint flow_001.ckpt in bundle"),
-            (_dims_disagree, "checkpoint flow_000.ckpt has (x_dim, cond_dim) (2, 2), the problem needs (3, 3)"),
+            (_dims_disagree, "bundle {bundle} was trained on another problem: "
+                             "problem.x_dim is 3 in the bundle and 2 in the config"),
+            (_forged_header, "checkpoint truncated"),
             (_drop_seed, "bundle manifest {bundle}/manifest.json lacks a valid seed"),
             (_drop_config_hash, "bundle manifest {bundle}/manifest.json lacks a valid config_hash"),
         ],
-        ids=["missing_directory", "file", "missing_checkpoint", "dims_disagree", "no_seed", "no_config_hash"],
+        ids=["missing_directory", "file", "missing_checkpoint", "dims_disagree", "forged_header", "no_seed",
+             "no_config_hash"],
     )
     def test_exits_1(self, tmp_path, capsys, trained_bundle, command, make, message):
         bundle = tmp_path / "bundle"
@@ -362,6 +372,67 @@ class TestBadBundles:
         assert main(argv) == 1
         assert capsys.readouterr().err.splitlines() == ["error: " + message.format(bundle=bundle)]
         assert not out.exists()
+
+
+    @staticmethod
+    def _argv(tmp_path, command, bundle, config):
+        ypath = tmp_path / "y.txt"
+        np.savetxt(ypath, np.arange(4, dtype=float))
+        argv = [command, "--config", str(config), "--bundle", str(bundle), "--out", str(tmp_path / "o")]
+        return argv + ["--y", str(ypath)] if command == "infer" else argv
+
+    @pytest.mark.parametrize("command", ["infer", "evaluate"])
+    @pytest.mark.parametrize(
+        "block, key, value, message",
+        [
+            ("problem", "y_dim", 400_000_000,
+             "was trained on another problem: problem.y_dim is 400000000 in the bundle and 4 in the config"),
+            ("train_config", "n_s_infer", 10**10,
+             "was trained on another schedule: training.n_s_infer is 10000000000 in the bundle and 8 in the config"),
+        ],
+        ids=["huge_y_dim", "huge_n_s_infer"],
+    )
+    def test_huge_manifest_refused_before_anything_is_built(self, tmp_path, capsys, monkeypatch, trained_bundle,
+                                                            command, block, key, value, message):
+        # the manifest is compared with the config before the problem, a flow or a draw is made from it
+        def no_work(*args, **kwargs):
+            raise AssertionError("built from the manifest before it was compared with the config")
+
+        bundle = tmp_path / "bundle"
+        shutil.copytree(trained_bundle, bundle)
+        edit_manifest(bundle, lambda m: m[block].update({key: value}))
+        for owner, name in ((sf_pipeline, "problem_from_config"), (sf_pipeline, "load_checkpoint"),
+                            (CouplingFlow, "sample")):
+            monkeypatch.setattr(owner, name, no_work)
+        capsys.readouterr()
+        assert main(self._argv(tmp_path, command, bundle, write_cfg(tmp_path))) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: bundle {bundle} {message}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["infer", "evaluate"])
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"training": {"max_epochs": 4}},
+             "bundle {bundle} was trained on another schedule: "
+             "training.max_epochs is 3 in the bundle and 4 in the config"),
+            ({"flow": {"hidden": [16], "s_max": 1.5}},
+             "checkpoint flow_000.ckpt of bundle {bundle} holds another flow: flow.hidden is (8,) in the bundle and "
+             "(16,) in the config; flow.s_max is 2.0 in the bundle and 1.5 in the config"),
+        ],
+        ids=["max_epochs", "hidden_and_s_max"],
+    )
+    def test_refuses_config_of_another_flow_or_schedule(self, tmp_path, capsys, trained_bundle, command, extra,
+                                                         message):
+        capsys.readouterr()
+        assert main(self._argv(tmp_path, command, trained_bundle, write_cfg(tmp_path, extra))) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: " + message.format(bundle=trained_bundle)]
+        assert not (tmp_path / "o").exists()
+
+    def test_training_size_and_stages_are_not_checked(self, tmp_path, trained_bundle):
+        # a bundle does not record them: a partial bundle has fewer flows than the config's stages ask for
+        config = write_cfg(tmp_path, {"training": {"n_train": 20, "stages": 3}})
+        assert main(self._argv(tmp_path, "infer", trained_bundle, config)) == 0
 
 
 def edit_manifest(bundle, change):
@@ -470,13 +541,27 @@ class TestBadInputs:
     def test_non_finite_observation(self, tmp_path, capsys, bad):
         assert "non-finite" in self._infer(tmp_path, capsys, y=(0.0, bad, 2.0, 3.0))
 
-    def test_non_positive_checkpoint_scale(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("x_scale", 0.0, "checkpoint normalization: normalization scales must be positive"),
+            ("x_mean", np.nan, "checkpoint normalization: x_mean must be finite"),
+            ("x_mean", np.inf, "checkpoint normalization: x_mean must be finite"),
+            ("x_scale", np.nan, "checkpoint normalization: x_scale must be finite"),
+            ("x_scale", np.inf, "checkpoint normalization: x_scale must be finite"),
+            ("params", np.nan, "checkpoint parameters must be finite"),
+            ("params", -np.inf, "checkpoint parameters must be finite"),
+        ],
+        ids=["x_scale_zero", "x_mean_nan", "x_mean_inf", "x_scale_nan", "x_scale_inf", "params_nan", "params_inf"],
+    )
+    def test_malformed_checkpoint_values(self, tmp_path, capsys, name, value, message):
         def corrupt(bundle):
             flow = load_checkpoint((bundle / "flow_001.ckpt").read_bytes())
-            flow.x_scale[0] = 0.0
+            getattr(flow, name)[0] = value
             (bundle / "flow_001.ckpt").write_bytes(save_checkpoint(flow))
 
-        assert "scale" in self._infer(tmp_path, capsys, corrupt=corrupt)
+        assert self._infer(tmp_path, capsys, corrupt=corrupt) == "error: " + message
+        assert not (tmp_path / "inf").exists()
 
     def test_swapped_checkpoint_of_other_dims(self, tmp_path, capsys):
         def corrupt(bundle):

@@ -17,7 +17,6 @@ from scoreflow.flow import (
     CouplingFlow,
     FlowConfig,
     TrainConfig,
-    _checkpoint_length,
     load_checkpoint,
     save_checkpoint,
     train_flow,
@@ -736,7 +735,8 @@ class TestCheckpoint:
         flow = small_flow(x_dim=x_dim, cond_dim=2, n_blocks=n_blocks, hidden=hidden, seed=x_dim + 10 * n_blocks)
         flow.set_normalization(0.1 * np.arange(x_dim), 1.0 + np.arange(x_dim), [0.2, -0.3], [0.5, 2.5])
         blob = save_checkpoint(flow)
-        assert len(blob) == _checkpoint_length(x_dim, 2, n_blocks, hidden)
+        # magic, u32 header, s_max, hidden widths, then the four normalization vectors and the parameters
+        assert len(blob) == 8 + 20 + 8 + 4 * len(hidden) + 8 * (2 * x_dim + 2 * 2 + flow.params.size)
         back = load_checkpoint(blob)
         assert (back.x_dim, back.cond_dim) == (x_dim, 2)
         assert (back.hidden, len(back.nets), back.changed) == (hidden, n_blocks, flow.changed)
@@ -770,6 +770,32 @@ class TestCheckpoint:
         self._forbid_nets(monkeypatch)
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(bytes(blob))
+
+    def test_forged_block_and_layer_counts_refused_within_the_payload(self):
+        # 60000 blocks of 60000 one-wide layers: the header's counts alone would list 7.2e9 shapes
+        header = b"SFLOWCKP" + struct.pack("<IIIIId", 2, 4, 2, 60000, 60000, 2.0) + struct.pack("<60000I", *[1] * 60000)
+        blob = header + bytes(720_000 - len(header))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_checkpoint(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(blob)
+
+    def test_load_allocates_the_parameter_vector_once(self):
+        # the flow adopts the vector read from the payload instead of copying it into a second one
+        flow = CouplingFlow.create(16, 16, Rng(0), FlowConfig())
+        blob = save_checkpoint(flow)
+        tracemalloc.start()
+        try:
+            back = load_checkpoint(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.params, flow.params)
+        assert peak <= 1.2 * flow.params.nbytes
 
     def test_v1_checkpoint_refused_before_nets_are_built(self, monkeypatch):
         # version 1 stored each block's kept-half mask, n_blocks * x_dim bytes, after the hidden widths

@@ -1,12 +1,15 @@
+import ast
 import os
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+import scoreflow
 from scoreflow.numerics import (
     NotSpdError,
     Rng,
@@ -15,6 +18,32 @@ from scoreflow.numerics import (
     ordered_map,
     usable_cpus,
 )
+
+
+def binary_reads():
+    """(file, enclosing class, name) of every `frombuffer` and `struct.unpack*` in the package's source."""
+    found = []
+
+    def visit(node, path, cls):
+        if isinstance(node, ast.Attribute) and (
+            node.attr == "frombuffer" or node.attr.startswith("unpack") and getattr(node.value, "id", None) == "struct"
+        ):
+            found.append((path.name, cls, node.attr))
+        if isinstance(node, ast.ImportFrom) and node.module in ("numpy", "struct"):
+            found.extend((path.name, cls, a.name) for a in node.names if a.name == "frombuffer" or "unpack" in a.name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, node.name if isinstance(node, ast.ClassDef) else cls)
+
+    for path in sorted(Path(scoreflow.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    return found
+
+
+def test_byte_reader_is_the_one_binary_reader():
+    # a loader that reads its payload at an offset of its own would bypass the reader's bounds checks
+    reads = binary_reads()
+    assert {name for _, _, name in reads} == {"frombuffer", "unpack_from"}
+    assert all((path, cls) == ("numerics.py", "ByteReader") for path, cls, _ in reads), reads
 
 
 def set_cpus(monkeypatch, cpus):

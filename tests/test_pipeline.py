@@ -112,6 +112,14 @@ class TestTrainPipeline:
         assert partial.stage_histories == full.stage_histories[:1]
         assert [save_checkpoint(f) for f in partial.flows] == [save_checkpoint(full.flows[0])]
 
+    def test_non_finite_scores_are_a_divergence(self):
+        # the normalization fitted to them is refused as non-finite; a run reports that as it reports divergence
+        p = tiny_problem()
+        p.score = lambda x0, y: np.full(p.x_dim, np.nan)
+        with pytest.raises(PipelineError, match="flow training diverged at stage 0") as info:
+            train_pipeline(p, 12, 1, FAST_FLOW, FAST_TRAIN, Rng(6))
+        assert info.value.pipeline.flows == []
+
     def test_rejects_negative_stages(self):
         with pytest.raises(ValueError):
             train_pipeline(tiny_problem(), 4, -1, FAST_FLOW, FAST_TRAIN, Rng(7))
