@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config, problem_from_config
-from .flow import CheckpointError, FlowConfig
+from .flow import CheckpointError
 from .metrics import evaluate_testset, sweep_training_size
 from .metrics import write_csv, write_records_csv, write_summary_csv, write_sweep_csv
 from .numerics import Rng, ShapeError
@@ -114,7 +114,7 @@ def _load_bundle(bundle_dir: str, cfg: RunConfig) -> TrainedPipeline:
     pipeline, flow_config = load_pipeline(bundle_dir), asdict(cfg.flow_config())
     for j, flow in enumerate(pipeline.flows):
         _refuse_other(f"checkpoint flow_{j:03d}.ckpt of bundle {bundle_dir} holds another flow", "flow",
-                      asdict(FlowConfig(len(flow.nets), flow.hidden, flow.s_max)), flow_config)
+                      asdict(flow.config), flow_config)
     return pipeline
 
 

@@ -16,11 +16,17 @@ condition's term cn @ W_c + b is computed once per (block, condition) by
 broadcasts one row of it over all its draws, and `advance_stage` reuses a
 stage's terms across all its latent slots.
 
-Precision: `forward`, `inverse`, training, normalization and checkpoints are
-float64. The Monte Carlo passes, `sample` and `advance_stage`, run their
+Precision: a flow computes in its parameter vector's dtype. A flow's
+`params`, its normalization and its checkpoint are float64, and so are its
+public `forward`, `inverse` and `nll_loss_and_grads`. Training runs in
+`TRAIN_DTYPE` (float32): `train_flow` steps a float32 twin of the vector,
+Adam's moments included, and writes the best weights back, so a trained
+flow holds float64 copies of float32 values and a checkpoint stores them
+exactly. The Monte Carlo passes, `sample` and `advance_stage`, run their
 coupling blocks in `SAMPLE_DTYPE` (float32): `condition(cond, SAMPLE_DTYPE)`
 casts `params` once and pairs each term with a net viewing that cast, so the
-float32 weights live only as long as those terms. Latents are drawn in
+float32 weights live only as long as those terms. Inputs are normalized in
+float64 and then rounded to the computing dtype. Latents are drawn in
 float64 and rounded to float32; each pass scales by `x_scale`, adds `x_mean`
 and returns in float64.
 
@@ -29,7 +35,7 @@ mean of 0.5*||z||^2 - log_det. Note this drops the (d/2)*log(2*pi) base
 density constant, which does not move the minimizer; `log_prob` includes
 it, so exp(log_prob) is a normalized density.
 
-Every weight and bias of a flow is a view into one contiguous float64
+Every weight and bias of a flow is a view into one contiguous
 vector, `CouplingFlow.params`, in checkpoint order: block by block, and
 within a block's net W0, b0, W1, b1, ... with each W row-major (fan_in,
 fan_out). Gradients come back as one vector in the same layout, so an
@@ -54,7 +60,8 @@ from .numerics import LOG_2PI, ByteReader, Rng, ShapeError, ordered_map
 CHECKPOINT_MAGIC = b"SFLOWCKP"
 CHECKPOINT_VERSION = 2
 
-# reduce-on-plateau schedule of `train_flow`
+# reduce-on-plateau schedule of `train_flow`; a validation loss improves on the best one by more than MIN_IMPROVEMENT
+MIN_IMPROVEMENT = 1e-6
 LR_PATIENCE = 10
 LR_FACTOR = 0.5
 MIN_LR = 1e-5
@@ -64,8 +71,9 @@ MIN_LR = 1e-5
 # another block size, so a fixed size keeps outputs the same whatever the CPU count.
 INVERSE_ROWS = 256
 
-# the coupling passes of `sample` and `advance_stage` (see module doc)
+# the coupling passes of `sample` and `advance_stage`, and the training steps of `train_flow` (see module doc)
 SAMPLE_DTYPE = np.float32
+TRAIN_DTYPE = np.float32
 
 
 class CheckpointError(ValueError):
@@ -200,11 +208,11 @@ class CouplingFlow:
     """
 
     def __init__(self, x_dim, cond_dim, cfg: FlowConfig, params=None):
-        """A flow whose parameters are views into `params` (`param_shapes`' layout), or all zero if it is None."""
+        """A flow whose parameters are views into `params` (`param_shapes`' layout, of the dtype the flow
+        computes in), or all zero float64 if it is None."""
         self.x_dim = int(x_dim)
         self.cond_dim = int(cond_dim)
-        self.hidden = cfg.hidden
-        self.s_max = float(cfg.s_max)
+        self.config = cfg
         self.changed = transformed_halves(self.x_dim, cfg.n_blocks)
         self._shapes = param_shapes(self.x_dim, self.cond_dim, cfg)
         self.params = np.zeros(sum(math.prod(s) for s in self._shapes)) if params is None else params
@@ -230,7 +238,7 @@ class CouplingFlow:
         """Per block, (weights, biases) views into `vec`, laid out like `params`."""
         ends = np.cumsum([math.prod(s) for s in self._shapes])[:-1]
         arrays = [a.reshape(s) for a, s in zip(np.split(vec, ends), self._shapes)]
-        n = 2 * len(self.hidden) + 2  # arrays per block
+        n = 2 * len(self.config.hidden) + 2  # arrays per block
         return [(arrays[k : k + n : 2], arrays[k + 1 : k + n : 2]) for k in range(0, len(arrays), n)]
 
     def _nets(self, vec: np.ndarray) -> list[ConditioningNet]:
@@ -271,9 +279,10 @@ class CouplingFlow:
 
     def _squash(self, u):
         """s_max * tanh(u / s_max), computed in one new array."""
-        s = np.divide(u, self.s_max)
+        s_max = self.config.s_max
+        s = np.divide(u, s_max)
         np.tanh(s, out=s)
-        s *= self.s_max
+        s *= s_max
         return s
 
     def _split(self, x):
@@ -291,8 +300,10 @@ class CouplingFlow:
         x, cond = self._rows(x, self.x_dim, "x"), self._rows(cond, self.cond_dim, "cond")
         if x.shape[0] != cond.shape[0]:
             raise ShapeError(f"batch sizes disagree: {x.shape[0]} vs {cond.shape[0]}")
-        cn = (cond - self.cond_mean) / self.cond_scale
-        halves = self._split((x - self.x_mean) / self.x_scale)
+        # inputs in the vector's dtype: float64 ones would promote float32 weights back to float64
+        dtype = self.params.dtype
+        cn = ((cond - self.cond_mean) / self.cond_scale).astype(dtype, copy=False)
+        halves = self._split(((x - self.x_mean) / self.x_scale).astype(dtype, copy=False))
         log_det = np.full(x.shape[0], -np.sum(np.log(self.x_scale)))
         caches = []
         for i, net in zip(self.changed, self.nets):
@@ -319,7 +330,7 @@ class CouplingFlow:
         `inverse`. For another dtype than float64 the nets are views into one cast
         of `params` that lives as long as the returned pairs."""
         cn = (self._rows(cond, self.cond_dim, "cond") - self.cond_mean) / self.cond_scale
-        nets = self.nets if dtype == np.float64 else self._nets(self.params.astype(dtype))
+        nets = self.nets if dtype == self.params.dtype else self._nets(self.params.astype(dtype))
         cn = cn.astype(dtype, copy=False)
         return [(net, net.condition(cn)) for net in nets]
 
@@ -385,20 +396,20 @@ class CouplingFlow:
 
     def nll_loss_and_grads(self, x, cond):
         """Loss plus its gradient w.r.t. `params`, as one vector of the same
-        layout (hand-written backprop)."""
+        layout and dtype (hand-written backprop)."""
         z, log_det, cn, caches = self._forward_impl(x, cond, want_cache=True)
         batch = z.shape[0]
         loss = float(np.mean(0.5 * np.sum(z * z, axis=1) - log_det))
         dhalves = self._split(z / batch)
         # d(loss)/d(log_det contribution) is -1/batch for every sample and block
-        dld = np.full((batch, 1), -1.0 / batch)
+        dld = np.full((batch, 1), -1.0 / batch, dtype=self.params.dtype)
         grad = np.empty_like(self.params)  # every element is written by a net's backward
         grad_views = self.views(grad)
         for k in range(len(self.nets) - 1, -1, -1):
             i = self.changed[k]
             b, s, es, net_cache = caches[k]
             db2 = dhalves[i]
-            du = (db2 * b * es + dld) * (1.0 - (s / self.s_max) ** 2)
+            du = (db2 * b * es + dld) * (1.0 - (s / self.config.s_max) ** 2)
             dkept = self.nets[k].backward(np.concatenate([du, db2], axis=1), net_cache, cn, *grad_views[k])
             dhalves[1 - i] = dhalves[1 - i] + dkept
             dhalves[i] = db2 * es
@@ -471,15 +482,18 @@ def train_flow(flow: CouplingFlow, x_train, cond_train, x_val, cond_val, rng: Rn
     The learning rate is halved whenever validation loss has not improved
     for `LR_PATIENCE` epochs (reduce-on-plateau); training stops once it
     has not improved for `cfg.patience` epochs. Returns a history list of
-    (epoch, train_loss, val_loss). The flow is left at the weights with
-    the best validation loss seen.
+    (epoch, train_loss, val_loss). Every step runs on a `TRAIN_DTYPE` twin
+    of the flow; the flow is left at the twin's weights with the best
+    validation loss seen, widened exactly into its own vector.
     """
     x_train = np.asarray(x_train, dtype=np.float64)
     cond_train = np.asarray(cond_train, dtype=np.float64)
     n = x_train.shape[0]
     if n < 1:
         raise ValueError("training set is empty")
-    opt = Adam(flow.params, cfg.lr, cfg.weight_decay)
+    twin = CouplingFlow(flow.x_dim, flow.cond_dim, flow.config, flow.params.astype(TRAIN_DTYPE))
+    twin.set_normalization(flow.x_mean, flow.x_scale, flow.cond_mean, flow.cond_scale)
+    opt = Adam(twin.params, cfg.lr, cfg.weight_decay)
     have_val = x_val is not None and len(x_val) > 0
     best_val = np.inf
     best = None
@@ -490,14 +504,14 @@ def train_flow(flow: CouplingFlow, x_train, cond_train, x_val, cond_val, rng: Rn
         losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, _ = train_step(flow, opt, x_train[idx], cond_train[idx])
+            loss, _ = train_step(twin, opt, x_train[idx], cond_train[idx])
             losses.append(loss)
         train_loss = float(np.mean(losses))
-        val_loss = flow.nll_loss(x_val, cond_val) if have_val else train_loss
+        val_loss = twin.nll_loss(x_val, cond_val) if have_val else train_loss
         history.append((epoch, train_loss, val_loss))
-        if val_loss < best_val - 1e-6:
+        if val_loss < best_val - MIN_IMPROVEMENT:
             best_val = val_loss
-            best = flow.params.copy()
+            best = twin.params.copy()
             since_best = 0
         else:
             since_best += 1
@@ -506,13 +520,21 @@ def train_flow(flow: CouplingFlow, x_train, cond_train, x_val, cond_val, rng: Rn
             if since_best % LR_PATIENCE == 0 and opt.lr > MIN_LR:
                 # restart from the best weights seen at a lower learning rate
                 if best is not None:
-                    flow.params[...] = best
+                    twin.params[...] = best
                 lr = max(opt.lr * LR_FACTOR, MIN_LR)
                 opt = None  # frees the old moment and scratch vectors before the new ones are allocated
-                opt = Adam(flow.params, lr, cfg.weight_decay)
-    if best is not None:
-        flow.params[...] = best
+                opt = Adam(twin.params, lr, cfg.weight_decay)
+    flow.params[...] = twin.params if best is None else best
     return history
+
+
+def best_epoch(history) -> tuple[int, float]:
+    """(epoch, validation loss) of the weights `train_flow` left the flow at, read from its history."""
+    best = history[0]
+    for entry in history:
+        if entry[2] < best[2] - MIN_IMPROVEMENT:
+            best = entry
+    return best[0], best[2]
 
 
 def save_checkpoint(flow: CouplingFlow) -> bytes:
@@ -524,18 +546,12 @@ def save_checkpoint(flow: CouplingFlow) -> bytes:
     parameter vector as f64. Which half each block transforms follows from
     x_dim and n_blocks, so it is not stored.
     """
+    cfg = flow.config
     parts = [
         CHECKPOINT_MAGIC,
-        struct.pack(
-            "<IIIII",
-            CHECKPOINT_VERSION,
-            flow.x_dim,
-            flow.cond_dim,
-            len(flow.nets),
-            len(flow.hidden),
-        ),
-        struct.pack("<d", flow.s_max),
-        struct.pack(f"<{len(flow.hidden)}I", *flow.hidden),
+        struct.pack("<IIIII", CHECKPOINT_VERSION, flow.x_dim, flow.cond_dim, cfg.n_blocks, len(cfg.hidden)),
+        struct.pack("<d", cfg.s_max),
+        struct.pack(f"<{len(cfg.hidden)}I", *cfg.hidden),
     ]
     for v in (flow.x_mean, flow.x_scale, flow.cond_mean, flow.cond_scale, flow.params):
         parts.append(np.ascontiguousarray(v, dtype="<f8").tobytes())

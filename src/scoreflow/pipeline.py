@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, complete_block, from_block, problem_from_config
-from .flow import CheckpointError, CouplingFlow, FlowConfig, TrainConfig, load_checkpoint, save_checkpoint, train_flow
+from .flow import CheckpointError, CouplingFlow, FlowConfig, TrainConfig, best_epoch, load_checkpoint, save_checkpoint
+from .flow import train_flow
 from .numerics import Rng
 from .problems import InverseProblem
 from .summary import FiducialDataset, advance_stage, build_stage0
@@ -114,6 +115,10 @@ def train_pipeline(
             raise PipelineError(f"flow training diverged at stage {j}: {exc}", pipeline) from exc
         pipeline.flows.append(flow)
         pipeline.stage_histories.append(history)
+        if progress:
+            epoch, val_loss = best_epoch(history)
+            progress(f"stage {j}/{L}: trained {len(history)} epochs, best epoch {epoch} "
+                     f"with validation NLL {val_loss:.6g}")
         if j < L:
             if progress:
                 progress(f"stage {j}/{L}: advancing fiducials (n_s={train_cfg.n_s_train})")

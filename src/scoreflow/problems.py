@@ -19,6 +19,15 @@ import numpy as np
 from .numerics import LOG_2PI, Rng, ShapeError, SpdMatrix
 
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
+
+
+def _check_noise_std(noise_std) -> None:
+    """ValueError unless the noise variance noise_std**2 is a finite, normal float64, so that it and its
+    inverse are finite and the scores divide by it without overflow warnings or an OverflowError."""
+    var = float(noise_std) * float(noise_std)
+    if not _TINY <= var < np.inf:
+        raise ValueError(f"noise_std must have a finite, normal square, got {noise_std}")
 
 
 class InverseProblem:
@@ -110,6 +119,7 @@ class LinearGaussianProblem(InverseProblem):
             raise ValueError(f"x_dim and y_dim must be >= 1, got {x_dim} and {y_dim}")
         if not (noise_std > 0 and prior_condition >= 1):
             raise ValueError(f"need noise_std > 0 and prior_condition >= 1, got {noise_std} and {prior_condition}")
+        _check_noise_std(noise_std)
         rng = Rng(seed)
         A = rng.child(0).standard_normal((y_dim, x_dim)) / np.sqrt(x_dim)
         Q, _ = np.linalg.qr(rng.child(1).standard_normal((x_dim, x_dim)))
@@ -226,6 +236,7 @@ class NonlinearToyProblem(InverseProblem):
             raise ValueError(f"observed_rows must be in [1, {grid}], got {observed_rows}")
         if not (noise_std > 0 and blur_sigma > 0):
             raise ValueError(f"need noise_std > 0 and blur_sigma > 0, got {noise_std} and {blur_sigma}")
+        _check_noise_std(noise_std)
         if not (blob_scale >= 0 and blob_smoothness >= 0):
             raise ValueError(f"need blob_scale >= 0 and blob_smoothness >= 0, got {blob_scale} and {blob_smoothness}")
         self.grid = int(grid)

@@ -617,6 +617,21 @@ class TestBadInputs:
         line = self._one_error_line(capsys, [command, "--config", str(path), "--out", str(tmp_path / "o")])
         assert "problem block" in line and message in line
 
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    @pytest.mark.parametrize("kind", ["linear_gaussian", "nonlinear_toy"])
+    @pytest.mark.parametrize("noise_std", [1.0e200, 1.0e-160])
+    def test_noise_std_without_a_normal_square(self, tmp_path, capsys, command, kind, noise_std):
+        # its square overflows to inf (an OverflowError traceback) or underflows to a subnormal (scores overflow,
+        # with numpy warnings on stderr, which fail the suite): refused with one line before any work
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump({"problem": {"kind": kind, "noise_std": noise_std},
+                                        "training": {"n_train": 12, "stages": 0, "max_epochs": 1}}))
+        out = tmp_path / "o"
+        line = self._one_error_line(capsys, [command, "--config", str(path), "--out", str(out)])
+        assert line == f"error: problem block ({kind}) is invalid: noise_std must have a finite, normal square, " \
+                       f"got {noise_std}"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flow, message",
         [({"hidden": [-5]}, "flow.hidden"), ({"hidden": [0]}, "flow.hidden"),

@@ -12,6 +12,7 @@ from scoreflow.flow import (
     LR_PATIENCE,
     MIN_LR,
     SAMPLE_DTYPE,
+    TRAIN_DTYPE,
     Adam,
     CheckpointError,
     CouplingFlow,
@@ -172,7 +173,7 @@ def mlp_backward_reference(net, dh, cache):
 
 
 def squash(flow, u):
-    return flow.s_max * np.tanh(u / flow.s_max)
+    return flow.config.s_max * np.tanh(u / flow.config.s_max)
 
 
 def forward_reference(flow, x, cond):
@@ -221,7 +222,7 @@ def grads_reference(flow, x, cond):
     for net, (m, b, s, net_cache) in zip(reversed(flow.nets), reversed(caches)):
         db2 = dxn[:, ~m]
         es = np.exp(s)
-        du = (db2 * b * es - 1.0 / batch) * (1.0 - (s / flow.s_max) ** 2)
+        du = (db2 * b * es - 1.0 / batch) * (1.0 - (s / flow.config.s_max) ** 2)
         dnet_in, net_grads = mlp_backward_reference(net, np.concatenate([du, db2], axis=1), net_cache)
         prev = dxn.copy()
         prev[:, m] += dnet_in[:, : int(m.sum())]
@@ -506,7 +507,11 @@ class AdamReference:
 
 def train_flow_reference(flow, x_train, cond_train, x_val, cond_val, rng, lr, batch_size, max_epochs, patience,
                          weight_decay):
-    """`train_flow` with a per-array optimizer, finiteness check and best-weight copy and restore."""
+    """`train_flow` with a per-array optimizer, finiteness check and best-weight copy and restore, on the
+    same float32 twin of the flow, whose weights are written back into the flow's float64 vector."""
+    target = flow
+    flow = CouplingFlow(flow.x_dim, flow.cond_dim, flow.config, flow.params.astype(np.float32))
+    flow.set_normalization(target.x_mean, target.x_scale, target.cond_mean, target.cond_scale)
     params = arrays(flow, flow.params)
     opt = AdamReference(params, lr, weight_decay)
     best_val, best_weights, since_best, history = np.inf, None, 0, []
@@ -535,6 +540,7 @@ def train_flow_reference(flow, x_train, cond_train, x_val, cond_val, rng, lr, ba
                 opt = AdamReference(params, max(opt.lr * LR_FACTOR, MIN_LR), weight_decay)
     for p, w in zip(params, best_weights):
         p[...] = w
+    target.params[...] = flow.params
     return history
 
 
@@ -567,6 +573,39 @@ class TestTrainingMatchesPerArrayReference:
         assert lr_restarts(history) >= 1
         assert not np.array_equal(flows[0].params, start)
         assert np.array_equal(flows[0].params, flows[1].params)
+
+
+class TestFloat32Training:
+    """`train_flow` steps a `TRAIN_DTYPE` twin; the flow it trains, and a float64 flow's passes, stay float64."""
+
+    def test_trained_params_are_float64_copies_of_float32_values(self):
+        rng = Rng(60)
+        c = rng.standard_normal((120, 2))
+        x = np.tanh(c @ rng.standard_normal((2, 3))) + 0.3 * rng.standard_normal((120, 3))
+        flow = CouplingFlow.create(3, 2, Rng(61), FlowConfig(n_blocks=2, hidden=(8,)))
+        flow.fit_normalization(x, c)
+        start, params = flow.params.copy(), flow.params
+        train_flow(flow, x[:100], c[:100], x[100:], c[100:], Rng(62), TrainConfig(lr=1e-2, max_epochs=5))
+        assert flow.params is params and flow.params.dtype == np.float64
+        assert not np.array_equal(flow.params, start)
+        assert np.array_equal(flow.params.astype(np.float32).astype(np.float64), flow.params)
+        assert all(v.dtype == np.float64 for v in vars(flow).values() if isinstance(v, np.ndarray))
+
+    def test_twin_gradients_match_float64(self):
+        rng = Rng(63)
+        x, c = rng.standard_normal((64, 5)), rng.standard_normal((64, 3))
+        flow = small_flow(x_dim=5, cond_dim=3, n_blocks=3, hidden=(16, 16), seed=64, randomize=0.3)
+        flow.set_normalization(0.1 * rng.standard_normal(5), [1.2, 0.9, 1.4, 1.1, 0.8], np.zeros(3), np.ones(3))
+        flow.params[...] = flow.params.astype(np.float32)  # weights that both precisions hold exactly
+        twin = CouplingFlow(5, 3, flow.config, flow.params.astype(TRAIN_DTYPE))
+        twin.set_normalization(flow.x_mean, flow.x_scale, flow.cond_mean, flow.cond_scale)
+        loss, grad = flow.nll_loss_and_grads(x, c)
+        loss32, grad32 = twin.nll_loss_and_grads(x, c)
+        assert grad.dtype == np.float64 and grad32.dtype == np.float32
+        assert twin.forward(x, c)[0].dtype == np.float32  # float64 inputs do not promote the passes back
+        assert abs(loss32 - loss) <= 1e-5 * abs(loss)
+        for g32, g in zip(arrays(twin, grad32), arrays(flow, grad)):
+            assert rel_err(g32, g) <= 1e-4
 
 
 class TestSampling:
@@ -739,7 +778,7 @@ class TestCheckpoint:
         assert len(blob) == 8 + 20 + 8 + 4 * len(hidden) + 8 * (2 * x_dim + 2 * 2 + flow.params.size)
         back = load_checkpoint(blob)
         assert (back.x_dim, back.cond_dim) == (x_dim, 2)
-        assert (back.hidden, len(back.nets), back.changed) == (hidden, n_blocks, flow.changed)
+        assert (back.config.hidden, len(back.nets), back.changed) == (hidden, n_blocks, flow.changed)
         for name in ("params", "x_mean", "x_scale", "cond_mean", "cond_scale"):
             assert np.array_equal(getattr(back, name), getattr(flow, name)), name
         assert save_checkpoint(back) == blob

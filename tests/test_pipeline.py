@@ -93,6 +93,21 @@ class TestTrainPipeline:
             assert 1 <= len(hist) <= FAST_TRAIN.max_epochs
             assert all(np.isfinite(v) for _, tr, v in hist for v in (tr, v))
 
+    def test_progress_reports_each_stages_outcome(self):
+        # epochs run, the best epoch and its validation NLL, read from each stage's history
+        lines = []
+        pipe, _ = train_pipeline(tiny_problem(), 40, 2, FAST_FLOW,
+                                 TrainConfig(max_epochs=30, patience=4, n_s_train=4), Rng(6), progress=lines.append)
+        outcomes = [line for line in lines if "trained" in line]
+        assert len(outcomes) == 3
+        for j, (line, hist) in enumerate(zip(outcomes, pipe.stage_histories)):
+            vals = sorted(v for _, _, v in hist)
+            assert all(b - a > 1e-6 for a, b in zip(vals, vals[1:]))  # so the kept epoch is the argmin
+            kept = min(range(len(hist)), key=lambda i: hist[i][2])
+            assert line == (f"stage {j}/2: trained {len(hist)} epochs, best epoch {hist[kept][0]} "
+                            f"with validation NLL {hist[kept][2]:.6g}")
+        assert any(len(hist) < 30 for hist in pipe.stage_histories)  # early stopping showed
+
     def test_failed_run_carries_its_finished_pipeline(self, monkeypatch):
         p = tiny_problem()
         full, _ = train_pipeline(p, 12, 2, FAST_FLOW, FAST_TRAIN, Rng(6))

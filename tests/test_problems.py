@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.ndimage import convolve, gaussian_filter
@@ -351,3 +353,17 @@ class TestNonlinearToy:
             NonlinearToyProblem(grid=16, observed_rows=0)
         with pytest.raises(ValueError):
             NonlinearToyProblem(grid=16, observed_rows=17)
+
+
+# the noise variance noise_std**2 must be a finite, normal float64: these square to inf or to a subnormal
+@pytest.mark.parametrize("build", [LinearGaussianProblem.replication, NonlinearToyProblem], ids=["linear", "toy"])
+@pytest.mark.parametrize("noise_std", [1.0e200, 1.35e154, 1.4e-154, 1.0e-160])
+def test_noise_std_without_a_normal_square_refused(build, noise_std):
+    with pytest.raises(ValueError, match=re.escape(f"noise_std must have a finite, normal square, got {noise_std}")):
+        build(noise_std=noise_std)
+
+
+@pytest.mark.parametrize("build", [LinearGaussianProblem.replication, NonlinearToyProblem], ids=["linear", "toy"])
+@pytest.mark.parametrize("noise_std", [1.34e154, 1.5e-154])
+def test_noise_std_with_a_normal_square_accepted(build, noise_std):
+    assert build(noise_std=noise_std).y_dim >= 1

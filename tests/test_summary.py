@@ -116,7 +116,7 @@ def inverse_reference(flow, z, cond):
             if i < len(net.weights) - 1:
                 h = np.tanh(h)
         n_free = int((~m).sum())
-        s = flow.s_max * np.tanh(h[:, :n_free] / flow.s_max)
+        s = flow.config.s_max * np.tanh(h[:, :n_free] / flow.config.s_max)
         out = xn.copy()
         out[:, ~m] = (xn[:, ~m] - h[:, n_free:]) * np.exp(-s)
         xn = out
