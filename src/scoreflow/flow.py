@@ -16,19 +16,19 @@ condition's term cn @ W_c + b is computed once per (block, condition) by
 broadcasts one row of it over all its draws, and `advance_stage` reuses a
 stage's terms across all its latent slots.
 
-Precision: a flow computes in its parameter vector's dtype. A flow's
-`params`, its normalization and its checkpoint are float64, and so are its
-public `forward`, `inverse` and `nll_loss_and_grads`. Training runs in
-`TRAIN_DTYPE` (float32): `train_flow` steps a float32 twin of the vector,
-Adam's moments included, and writes the best weights back, so a trained
-flow holds float64 copies of float32 values and a checkpoint stores them
-exactly. The Monte Carlo passes, `sample` and `advance_stage`, run their
-coupling blocks in `SAMPLE_DTYPE` (float32): `condition(cond, SAMPLE_DTYPE)`
-casts `params` once and pairs each term with a net viewing that cast, so the
-float32 weights live only as long as those terms. Inputs are normalized in
-float64 and then rounded to the computing dtype. Latents are drawn in
-float64 and rounded to float32; each pass scales by `x_scale`, adds `x_mean`
-and returns in float64.
+Precision: a flow computes in its parameter vector's dtype. A flow that
+`create` or `CouplingFlow(...)` builds holds a float64 vector, and its
+public `forward`, `inverse` and `nll_loss_and_grads` run in float64.
+`train_flow` casts the vector to `TRAIN_DTYPE` (float32) once and trains
+it in place, Adam's moments included, so a trained flow, its checkpoint
+and a loaded flow hold float32 weights. The Monte Carlo passes, `sample`
+and `advance_stage`, run their coupling blocks in `SAMPLE_DTYPE`
+(float32): on a float32 flow `condition(cond, SAMPLE_DTYPE)` reuses the
+flow's nets, and on a float64 one it casts `params` once into nets that
+live only as long as the terms. Inputs and normalization are float64, and
+inputs are rounded to the computing dtype after normalizing. Latents are
+drawn in float64 and rounded to float32; each pass scales by `x_scale`,
+adds `x_mean` and returns in float64.
 
 Training is maximum likelihood on (x, cond) pairs: the loss is the batch
 mean of 0.5*||z||^2 - log_det. Note this drops the (d/2)*log(2*pi) base
@@ -58,7 +58,7 @@ import numpy as np
 from .numerics import LOG_2PI, ByteReader, Rng, ShapeError, ordered_map
 
 CHECKPOINT_MAGIC = b"SFLOWCKP"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # reduce-on-plateau schedule of `train_flow`; a validation loss improves on the best one by more than MIN_IMPROVEMENT
 MIN_IMPROVEMENT = 1e-6
@@ -327,8 +327,8 @@ class CouplingFlow:
 
     def condition(self, cond, dtype=np.float64) -> list[tuple[ConditioningNet, np.ndarray]]:
         """Per block, (net, condition term) of the rows of `cond` in `dtype`, for
-        `inverse`. For another dtype than float64 the nets are views into one cast
-        of `params` that lives as long as the returned pairs."""
+        `inverse`. For another dtype than the vector's the nets are views into one
+        cast of `params` that lives as long as the returned pairs."""
         cn = (self._rows(cond, self.cond_dim, "cond") - self.cond_mean) / self.cond_scale
         nets = self.nets if dtype == self.params.dtype else self._nets(self.params.astype(dtype))
         cn = cn.astype(dtype, copy=False)
@@ -482,36 +482,33 @@ def train_flow(flow: CouplingFlow, x_train, cond_train, x_val, cond_val, rng: Rn
     The learning rate is halved whenever validation loss has not improved
     for `LR_PATIENCE` epochs (reduce-on-plateau); training stops once it
     has not improved for `cfg.patience` epochs. Returns a history list of
-    (epoch, train_loss, val_loss). Every step runs on a `TRAIN_DTYPE` twin
-    of the flow; the flow is left at the twin's weights with the best
-    validation loss seen, widened exactly into its own vector.
+    (epoch, train_loss, val_loss). The flow's vector is cast to
+    `TRAIN_DTYPE` once and stepped in place; the flow is left at the
+    weights with the best validation loss seen.
     """
     x_train = np.asarray(x_train, dtype=np.float64)
     cond_train = np.asarray(cond_train, dtype=np.float64)
     n = x_train.shape[0]
     if n < 1:
         raise ValueError("training set is empty")
-    twin = CouplingFlow(flow.x_dim, flow.cond_dim, flow.config, flow.params.astype(TRAIN_DTYPE))
-    twin.set_normalization(flow.x_mean, flow.x_scale, flow.cond_mean, flow.cond_scale)
-    opt = Adam(twin.params, cfg.lr, cfg.weight_decay)
+    flow.params = flow.params.astype(TRAIN_DTYPE, copy=False)
+    flow.nets = flow._nets(flow.params)
+    opt = Adam(flow.params, cfg.lr, cfg.weight_decay)
     have_val = x_val is not None and len(x_val) > 0
-    best_val = np.inf
-    best = None
-    since_best = 0
-    history = []
+    best_val, best, since_best, history = np.inf, None, 0, []
     for epoch in range(cfg.max_epochs):
         order = rng.child(epoch).permutation(n)
         losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, _ = train_step(twin, opt, x_train[idx], cond_train[idx])
+            loss, _ = train_step(flow, opt, x_train[idx], cond_train[idx])
             losses.append(loss)
         train_loss = float(np.mean(losses))
-        val_loss = twin.nll_loss(x_val, cond_val) if have_val else train_loss
+        val_loss = flow.nll_loss(x_val, cond_val) if have_val else train_loss
         history.append((epoch, train_loss, val_loss))
         if val_loss < best_val - MIN_IMPROVEMENT:
             best_val = val_loss
-            best = twin.params.copy()
+            best = flow.params.copy()
             since_best = 0
         else:
             since_best += 1
@@ -520,11 +517,12 @@ def train_flow(flow: CouplingFlow, x_train, cond_train, x_val, cond_val, rng: Rn
             if since_best % LR_PATIENCE == 0 and opt.lr > MIN_LR:
                 # restart from the best weights seen at a lower learning rate
                 if best is not None:
-                    twin.params[...] = best
+                    flow.params[...] = best
                 lr = max(opt.lr * LR_FACTOR, MIN_LR)
                 opt = None  # frees the old moment and scratch vectors before the new ones are allocated
-                opt = Adam(twin.params, lr, cfg.weight_decay)
-    flow.params[...] = twin.params if best is None else best
+                opt = Adam(flow.params, lr, cfg.weight_decay)
+    if best is not None:
+        flow.params[...] = best
     return history
 
 
@@ -541,29 +539,31 @@ def save_checkpoint(flow: CouplingFlow) -> bytes:
     """Serialize a flow to a versioned binary payload.
 
     Layout (little-endian): magic "SFLOWCKP" | u32 version | u32 x_dim |
-    u32 cond_dim | u32 n_blocks | u32 n_hidden | f64 s_max | u32 hidden
-    widths | x_mean, x_scale, cond_mean, cond_scale as f64 vectors | the
-    parameter vector as f64. Which half each block transforms follows from
-    x_dim and n_blocks, so it is not stored.
+    u32 cond_dim | u32 n_blocks | u32 n_hidden | u32 width | f64 s_max |
+    u32 hidden widths | x_mean, x_scale, cond_mean, cond_scale as f64
+    vectors | the parameter vector as floats of `width` bytes, 4 or 8, its
+    dtype's. Which half each block transforms follows from x_dim and
+    n_blocks, so it is not stored.
     """
-    cfg = flow.config
-    parts = [
+    cfg, width = flow.config, flow.params.itemsize
+    return b"".join([
         CHECKPOINT_MAGIC,
-        struct.pack("<IIIII", CHECKPOINT_VERSION, flow.x_dim, flow.cond_dim, cfg.n_blocks, len(cfg.hidden)),
+        struct.pack("<IIIIII", CHECKPOINT_VERSION, flow.x_dim, flow.cond_dim, cfg.n_blocks, len(cfg.hidden), width),
         struct.pack("<d", cfg.s_max),
         struct.pack(f"<{len(cfg.hidden)}I", *cfg.hidden),
-    ]
-    for v in (flow.x_mean, flow.x_scale, flow.cond_mean, flow.cond_scale, flow.params):
-        parts.append(np.ascontiguousarray(v, dtype="<f8").tobytes())
-    return b"".join(parts)
+        *(np.asarray(v, "<f8").tobytes() for v in (flow.x_mean, flow.x_scale, flow.cond_mean, flow.cond_scale)),
+        np.asarray(flow.params, f"<f{width}").tobytes(),
+    ])
 
 
 def load_checkpoint(data: bytes) -> CouplingFlow:
     """Reconstruct a flow from `save_checkpoint` output, read front to back; the flow adopts the vector read."""
     r = ByteReader(data, CHECKPOINT_MAGIC, CheckpointError, "checkpoint")
-    version, x_dim, cond_dim, n_blocks, n_hidden = r.unpack("<IIIII")
+    version, x_dim, cond_dim, n_blocks, n_hidden, width = r.unpack("<IIIIII")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+    if width not in (4, 8):
+        raise CheckpointError(f"checkpoint parameter width must be 4 or 8 bytes, got {width}")
     (s_max,) = r.unpack("<d")
     hidden = r.unpack(f"<{n_hidden}I")
     try:
@@ -573,12 +573,12 @@ def load_checkpoint(data: bytes) -> CouplingFlow:
     if x_dim < 1:
         raise CheckpointError("checkpoint x_dim must be at least 1")
     # every layer of every block stores at least a one-float bias, which bounds the shapes `param_shapes` lists
-    if n_blocks * (n_hidden + 1) * 8 > len(data):
+    if n_blocks * (n_hidden + 1) * width > len(data):
         raise CheckpointError("checkpoint truncated")
     norms = [r.array(d, "<f8") for d in (x_dim, x_dim, cond_dim, cond_dim)]
-    params = r.array(sum(math.prod(s) for s in param_shapes(x_dim, cond_dim, cfg)), "<f8")
+    params = r.array(sum(math.prod(s) for s in param_shapes(x_dim, cond_dim, cfg)), f"<f{width}")
     r.finish()
-    if not np.all(np.isfinite(params)):
+    if not (np.isfinite(params.min()) and np.isfinite(params.max())):  # no temporary of the vector's size
         raise CheckpointError("checkpoint parameters must be finite")
     out = CouplingFlow(x_dim, cond_dim, cfg, params)
     try:

@@ -1,9 +1,9 @@
 """Dense linear algebra, reproducible RNG streams, binary payload reading,
 and the one thread pool of the package.
 
-All numerics are float64, except the flow's Monte Carlo passes (`sample`
-and `advance_stage`), whose coupling blocks run in float32 (see `flow`'s
-module doc). Arrays are plain numpy ndarrays in row-major order; shape
+All numerics are float64, except the flow's: training, `sample` and
+`advance_stage` run its coupling blocks in float32, and a trained flow
+keeps float32 weights (see `flow`'s module doc). Arrays are plain numpy ndarrays in row-major order; shape
 checks happen at module boundaries so downstream code can assume
 consistent dimensions.
 """

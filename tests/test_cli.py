@@ -324,8 +324,24 @@ def _dims_disagree(bundle):
 
 def _forged_header(bundle):
     # a header claiming 60000 blocks of 60000 one-wide layers, padded to 720 KB
-    header = b"SFLOWCKP" + struct.pack("<IIIIId", 2, 2, 2, 60000, 60000, 2.0) + struct.pack("<60000I", *[1] * 60000)
+    header = b"SFLOWCKP" + struct.pack("<IIIIIId", 3, 2, 2, 60000, 60000, 4, 2.0) + struct.pack("<60000I", *[1] * 60000)
     (bundle / "flow_000.ckpt").write_bytes(header + bytes(720_000 - len(header)))
+
+
+def _width(width):
+    def make(bundle):
+        blob = (bundle / "flow_000.ckpt").read_bytes()
+        (bundle / "flow_000.ckpt").write_bytes(blob[:28] + struct.pack("<I", width) + blob[32:])
+
+    return make
+
+
+def _version_2(bundle):
+    # version 2 had no width field and stored the parameters as f8: a float64 flow's v3 payload less the width
+    flow = load_checkpoint((bundle / "flow_000.ckpt").read_bytes())
+    flow.params = flow.params.astype(np.float64)
+    blob = save_checkpoint(flow)
+    (bundle / "flow_000.ckpt").write_bytes(blob[:8] + struct.pack("<I", 2) + blob[12:28] + blob[32:])
 
 
 def _drop_seed(bundle):
@@ -351,9 +367,13 @@ class TestBadBundles:
             (_forged_header, "checkpoint truncated"),
             (_drop_seed, "bundle manifest {bundle}/manifest.json lacks a valid seed"),
             (_drop_config_hash, "bundle manifest {bundle}/manifest.json lacks a valid config_hash"),
+            (_width(0), "checkpoint parameter width must be 4 or 8 bytes, got 0"),
+            (_width(2), "checkpoint parameter width must be 4 or 8 bytes, got 2"),
+            (_width(16), "checkpoint parameter width must be 4 or 8 bytes, got 16"),
+            (_version_2, "unsupported checkpoint version 2, expected 3"),
         ],
         ids=["missing_directory", "file", "missing_checkpoint", "dims_disagree", "forged_header", "no_seed",
-             "no_config_hash"],
+             "no_config_hash", "width_0", "width_2", "width_16", "version_2"],
     )
     def test_exits_1(self, tmp_path, capsys, trained_bundle, command, make, message):
         bundle = tmp_path / "bundle"
@@ -580,13 +600,14 @@ class TestBadInputs:
     def test_version_1_checkpoint(self, tmp_path, capsys):
         def corrupt(bundle):
             blob = (bundle / "flow_000.ckpt").read_bytes()
-            header = 8 + 5 * 4 + 8 + 4 * 1  # magic, u32 header, s_max, one hidden width
+            header = 8 + 6 * 4 + 8 + 4 * 1  # magic, u32 header, s_max, one hidden width
             masks = bytes([1, 0, 0, 1])  # version 1's kept-half masks of the two blocks
-            v1 = blob[:8] + (1).to_bytes(4, "little") + blob[12:header] + masks + blob[header:]
+            # version 1 had no width field either
+            v1 = blob[:8] + (1).to_bytes(4, "little") + blob[12:28] + blob[32:header] + masks + blob[header:]
             (bundle / "flow_000.ckpt").write_bytes(v1)
 
         line = self._infer(tmp_path, capsys, corrupt=corrupt)
-        assert line == "error: unsupported checkpoint version 1, expected 2"
+        assert line == "error: unsupported checkpoint version 1, expected 3"
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_non_positive_sample_count(self, tmp_path, capsys, n):

@@ -169,7 +169,7 @@ def small_flow():
 def checkpoint_with(key, value) -> bytes:
     """A checkpoint whose header field `key` (the first width, for `hidden`) reads `value`."""
     blob = bytearray(save_checkpoint(small_flow()))
-    at, fmt = {"n_blocks": (8 + 3 * 4, "<u4"), "s_max": (8 + 5 * 4, "<f8"), "hidden": (8 + 5 * 4 + 8, "<u4")}[key]
+    at, fmt = {"n_blocks": (8 + 3 * 4, "<u4"), "s_max": (8 + 6 * 4, "<f8"), "hidden": (8 + 6 * 4 + 8, "<u4")}[key]
     blob[at : at + np.dtype(fmt).itemsize] = np.array([value[0] if key == "hidden" else value], fmt).tobytes()
     return bytes(blob)
 

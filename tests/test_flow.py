@@ -34,6 +34,13 @@ def small_flow(x_dim=3, cond_dim=2, n_blocks=2, hidden=(8, 8), seed=7, randomize
     return flow
 
 
+def with_params(flow, params):
+    """A flow like `flow`, normalization included, whose parameters are views into `params`."""
+    out = CouplingFlow(flow.x_dim, flow.cond_dim, flow.config, params)
+    out.set_normalization(flow.x_mean, flow.x_scale, flow.cond_mean, flow.cond_scale)
+    return out
+
+
 def arrays(flow, vec):
     """`vec`, laid out like `params`, as its W0, b0, W1, b1, ... views, block by block."""
     return [a for ws, bs in flow.views(vec) for pair in zip(ws, bs) for a in pair]
@@ -508,10 +515,9 @@ class AdamReference:
 def train_flow_reference(flow, x_train, cond_train, x_val, cond_val, rng, lr, batch_size, max_epochs, patience,
                          weight_decay):
     """`train_flow` with a per-array optimizer, finiteness check and best-weight copy and restore, on the
-    same float32 twin of the flow, whose weights are written back into the flow's float64 vector."""
-    target = flow
-    flow = CouplingFlow(flow.x_dim, flow.cond_dim, flow.config, flow.params.astype(np.float32))
-    flow.set_normalization(target.x_mean, target.x_scale, target.cond_mean, target.cond_scale)
+    flow's own weights cast to float32."""
+    flow.params = flow.params.astype(np.float32)
+    flow.nets = flow._nets(flow.params)
     params = arrays(flow, flow.params)
     opt = AdamReference(params, lr, weight_decay)
     best_val, best_weights, since_best, history = np.inf, None, 0, []
@@ -540,7 +546,6 @@ def train_flow_reference(flow, x_train, cond_train, x_val, cond_val, rng, lr, ba
                 opt = AdamReference(params, max(opt.lr * LR_FACTOR, MIN_LR), weight_decay)
     for p, w in zip(params, best_weights):
         p[...] = w
-    target.params[...] = flow.params
     return history
 
 
@@ -576,35 +581,57 @@ class TestTrainingMatchesPerArrayReference:
 
 
 class TestFloat32Training:
-    """`train_flow` steps a `TRAIN_DTYPE` twin; the flow it trains, and a float64 flow's passes, stay float64."""
+    """`train_flow` casts the flow's vector to `TRAIN_DTYPE` once and trains it in place; a new flow stays
+    float64."""
 
-    def test_trained_params_are_float64_copies_of_float32_values(self):
+    def test_trained_params_are_train_dtype_and_match_the_reference(self):
         rng = Rng(60)
         c = rng.standard_normal((120, 2))
         x = np.tanh(c @ rng.standard_normal((2, 3))) + 0.3 * rng.standard_normal((120, 3))
-        flow = CouplingFlow.create(3, 2, Rng(61), FlowConfig(n_blocks=2, hidden=(8,)))
-        flow.fit_normalization(x, c)
-        start, params = flow.params.copy(), flow.params
-        train_flow(flow, x[:100], c[:100], x[100:], c[100:], Rng(62), TrainConfig(lr=1e-2, max_epochs=5))
-        assert flow.params is params and flow.params.dtype == np.float64
-        assert not np.array_equal(flow.params, start)
-        assert np.array_equal(flow.params.astype(np.float32).astype(np.float64), flow.params)
-        assert all(v.dtype == np.float64 for v in vars(flow).values() if isinstance(v, np.ndarray))
+        flows = [CouplingFlow.create(3, 2, Rng(61), FlowConfig(n_blocks=2, hidden=(8,))) for _ in range(2)]
+        for flow in flows:
+            flow.fit_normalization(x, c)
+        start = flows[0].params.copy()
+        assert start.dtype == np.float64
+        data = (x[:100], c[:100], x[100:], c[100:], Rng(62))
+        train_flow(flows[0], *data, TrainConfig(lr=1e-2, max_epochs=5))
+        train_flow_reference(flows[1], *data, lr=1e-2, batch_size=64, max_epochs=5, patience=50, weight_decay=0.0)
+        flow = flows[0]
+        assert flow.params.dtype == TRAIN_DTYPE and flows[1].params.dtype == TRAIN_DTYPE
+        assert np.array_equal(flow.params, flows[1].params) and not np.array_equal(flow.params, start)
+        assert all(np.shares_memory(W, flow.params) for net in flow.nets for W in (*net.weights, *net.biases))
+        assert all(getattr(flow, k).dtype == np.float64 for k in ("x_mean", "x_scale", "cond_mean", "cond_scale"))
 
-    def test_twin_gradients_match_float64(self):
+    def test_trains_without_a_second_parameter_vector(self):
+        # a toy-sized flow (x_dim 256, default widths) trained for one epoch of one batch
+        rng = Rng(65)
+        x, c = rng.standard_normal((16, 256)), rng.standard_normal((16, 256))
+        tracemalloc.start()
+        try:
+            flow = CouplingFlow.create(256, 256, Rng(66), FlowConfig())
+            flow.fit_normalization(x, c)
+            train_flow(flow, x[:8], c[:8], x[8:], c[8:], Rng(67), TrainConfig(max_epochs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float32 vector, Adam's four and a gradient or the best-weight snapshot: 6 float32 vectors;
+        # a float32 copy beside the float64 vector would add 3 more
+        assert flow.params.dtype == TRAIN_DTYPE and peak < 7 * flow.params.nbytes
+
+    def test_float32_gradients_match_float64(self):
         rng = Rng(63)
         x, c = rng.standard_normal((64, 5)), rng.standard_normal((64, 3))
         flow = small_flow(x_dim=5, cond_dim=3, n_blocks=3, hidden=(16, 16), seed=64, randomize=0.3)
         flow.set_normalization(0.1 * rng.standard_normal(5), [1.2, 0.9, 1.4, 1.1, 0.8], np.zeros(3), np.ones(3))
         flow.params[...] = flow.params.astype(np.float32)  # weights that both precisions hold exactly
-        twin = CouplingFlow(5, 3, flow.config, flow.params.astype(TRAIN_DTYPE))
-        twin.set_normalization(flow.x_mean, flow.x_scale, flow.cond_mean, flow.cond_scale)
+        flow32 = CouplingFlow(5, 3, flow.config, flow.params.astype(TRAIN_DTYPE))
+        flow32.set_normalization(flow.x_mean, flow.x_scale, flow.cond_mean, flow.cond_scale)
         loss, grad = flow.nll_loss_and_grads(x, c)
-        loss32, grad32 = twin.nll_loss_and_grads(x, c)
+        loss32, grad32 = flow32.nll_loss_and_grads(x, c)
         assert grad.dtype == np.float64 and grad32.dtype == np.float32
-        assert twin.forward(x, c)[0].dtype == np.float32  # float64 inputs do not promote the passes back
+        assert flow32.forward(x, c)[0].dtype == np.float32  # float64 inputs do not promote the passes back
         assert abs(loss32 - loss) <= 1e-5 * abs(loss)
-        for g32, g in zip(arrays(twin, grad32), arrays(flow, grad)):
+        for g32, g in zip(arrays(flow32, grad32), arrays(flow, grad)):
             assert rel_err(g32, g) <= 1e-4
 
 
@@ -647,26 +674,31 @@ class TestSampling:
             flow.sample(np.zeros(2), 0, Rng(0))
 
 
-def traced_growth(call):
-    """Bytes still allocated after `call()` returns and its result is dropped."""
+def traced(call):
+    """(bytes still allocated after `call()` returns and its result is dropped, peak bytes above the start)."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         call()
-        return tracemalloc.get_traced_memory()[0] - before
+        after, peak = tracemalloc.get_traced_memory()
+        return after - before, peak - before
     finally:
         tracemalloc.stop()
 
 
 class TestFloat32Sampling:
-    """`sample` runs its coupling blocks in `SAMPLE_DTYPE`; `inverse` and the flow stay float64."""
+    """`sample` runs its coupling blocks in `SAMPLE_DTYPE`, on a float64 flow through a transient cast of its
+    weights and on a trained (float32) flow on its own; `inverse` and a float64 flow stay float64."""
 
-    def _flow(self, seed=95):
+    def _flow(self, seed=95, hidden=(64, 64), trained=False):
         # hidden widths large enough that a kept float32 copy of `params` would show
-        flow = small_flow(x_dim=16, cond_dim=4, n_blocks=3, hidden=(64, 64), seed=seed, randomize=0.3)
+        flow = small_flow(x_dim=16, cond_dim=4, n_blocks=3, hidden=hidden, seed=seed, randomize=0.3)
         rng = Rng(seed + 1)
         flow.set_normalization(rng.standard_normal(16), np.exp(0.3 * rng.standard_normal(16)),
                                rng.standard_normal(4), np.exp(0.3 * rng.standard_normal(4)))
+        if trained:  # one step, leaving the flow at float32 weights
+            x, c = rng.standard_normal((8, 16)), rng.standard_normal((8, 4))
+            train_flow(flow, x, c, None, None, rng.child(1), TrainConfig(max_epochs=1))
         return flow, rng
 
     def test_condition_casts_into_transient_nets(self):
@@ -679,14 +711,28 @@ class TestFloat32Sampling:
         assert all(net is own for (net, _), own in zip(flow.condition(np.zeros((1, 4))), flow.nets))
 
     def test_sample_leaves_no_float32_array_on_the_flow(self):
-        flow, rng = self._flow()
-        keys = set(vars(flow))
-        cond = rng.standard_normal(4)
-        flow.sample(cond, 300, Rng(3))  # warm-up: lazy set-up inside numpy and the pool
-        grown = traced_growth(lambda: flow.sample(cond, 300, Rng(3)))
-        assert set(vars(flow)) == keys
-        assert all(v.dtype == np.float64 for v in vars(flow).values() if isinstance(v, np.ndarray))
-        assert grown < flow.params.nbytes // 20  # a kept float32 copy would be half of params.nbytes
+        for trained in (False, True):
+            flow, rng = self._flow(trained=trained)
+            dtypes = {k: v.dtype for k, v in vars(flow).items() if isinstance(v, np.ndarray)}
+            keys = set(vars(flow))
+            cond = rng.standard_normal(4)
+            flow.sample(cond, 300, Rng(3))  # warm-up: lazy set-up inside numpy and the pool
+            grown, _ = traced(lambda: flow.sample(cond, 300, Rng(3)))
+            assert set(vars(flow)) == keys
+            assert {k: v.dtype for k, v in vars(flow).items() if isinstance(v, np.ndarray)} == dtypes
+            assert dtypes.pop("params") == (SAMPLE_DTYPE if trained else np.float64)
+            assert all(d == np.float64 for d in dtypes.values())
+            assert grown < flow.params.nbytes // 20  # a kept float32 copy would be half of params.nbytes or more
+
+    def test_sample_on_a_trained_flow_allocates_nothing_parameter_sized(self):
+        # wide hidden layers, so that a cast of the weights would dwarf 20 draws' activations
+        for trained in (False, True):
+            flow, rng = self._flow(hidden=(512, 512), trained=trained)
+            cond = rng.standard_normal(4)
+            flow.sample(cond, 20, Rng(3))  # warm-up: lazy set-up inside numpy and the pool
+            _, peak = traced(lambda: flow.sample(cond, 20, Rng(3)))
+            cast = flow.params.size * np.dtype(SAMPLE_DTYPE).itemsize
+            assert peak < cast // 8 if trained else peak >= cast
 
     def test_inverse_still_matches_float64_reference_after_sampling(self):
         flow, rng = self._flow()
@@ -752,20 +798,25 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(blob[: len(blob) // 2])
 
-    def test_v2_byte_layout(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_v3_byte_layout(self, dtype):
         flow = small_flow(x_dim=2, cond_dim=1, n_blocks=1, hidden=(3,), seed=21)
         flow.set_normalization([0.5, -0.5], [2.0, 3.0], [0.25], [4.0])
+        flow = with_params(flow, flow.params.astype(dtype))
+        width = np.dtype(dtype).itemsize
         blob = save_checkpoint(flow)
         # block 0 keeps lo (1 wide) and transforms hi (1 wide): W0 (1 + 1, 3), b0 (3), W1 (3, 2), b1 (2)
         assert flow.params.size == 6 + 3 + 6 + 2
-        header = 8 + 5 * 4 + 8 + 4 * 1  # magic, u32 header, s_max, one hidden width
-        assert len(blob) == header + 8 * (2 + 2 + 1 + 1 + 17)
+        header = 8 + 6 * 4 + 8 + 4 * 1  # magic, u32 header, s_max, one hidden width
+        assert len(blob) == header + 8 * (2 + 2 + 1 + 1) + width * 17
         assert blob[:8] == b"SFLOWCKP"
-        assert struct.unpack("<IIIII", blob[8:28]) == (2, 2, 1, 1, 1)  # version, x_dim, cond_dim, n_blocks, n_hidden
-        assert struct.unpack("<dI", blob[28:header]) == (2.0, 3)  # s_max, the hidden width
-        floats = np.frombuffer(blob, "<f8", offset=header)
-        assert np.array_equal(floats[:6], [0.5, -0.5, 2.0, 3.0, 0.25, 4.0])  # x_mean, x_scale, cond_mean, cond_scale
-        assert np.array_equal(floats[6:], flow.params)
+        # version, x_dim, cond_dim, n_blocks, n_hidden, width
+        assert struct.unpack("<IIIIII", blob[8:32]) == (3, 2, 1, 1, 1, width)
+        assert struct.unpack("<dI", blob[32:header]) == (2.0, 3)  # s_max, the hidden width
+        norms = np.frombuffer(blob, "<f8", 6, offset=header)
+        assert np.array_equal(norms, [0.5, -0.5, 2.0, 3.0, 0.25, 4.0])  # x_mean, x_scale, cond_mean, cond_scale
+        params = np.frombuffer(blob, f"<f{width}", offset=header + 8 * 6)
+        assert np.array_equal(params, flow.params)
 
     @pytest.mark.parametrize("hidden", [(), (4,), (3, 5)])
     @pytest.mark.parametrize("n_blocks", [1, 2, 3])
@@ -773,15 +824,49 @@ class TestCheckpoint:
     def test_length_and_roundtrip_over_shapes(self, x_dim, n_blocks, hidden):
         flow = small_flow(x_dim=x_dim, cond_dim=2, n_blocks=n_blocks, hidden=hidden, seed=x_dim + 10 * n_blocks)
         flow.set_normalization(0.1 * np.arange(x_dim), 1.0 + np.arange(x_dim), [0.2, -0.3], [0.5, 2.5])
-        blob = save_checkpoint(flow)
-        # magic, u32 header, s_max, hidden widths, then the four normalization vectors and the parameters
-        assert len(blob) == 8 + 20 + 8 + 4 * len(hidden) + 8 * (2 * x_dim + 2 * 2 + flow.params.size)
-        back = load_checkpoint(blob)
-        assert (back.x_dim, back.cond_dim) == (x_dim, 2)
-        assert (back.config.hidden, len(back.nets), back.changed) == (hidden, n_blocks, flow.changed)
-        for name in ("params", "x_mean", "x_scale", "cond_mean", "cond_scale"):
-            assert np.array_equal(getattr(back, name), getattr(flow, name)), name
-        assert save_checkpoint(back) == blob
+        for flow in (flow, with_params(flow, flow.params.astype(np.float32))):
+            blob = save_checkpoint(flow)
+            # magic, u32 header, s_max, hidden widths, then the four normalization vectors and the parameters
+            width = flow.params.itemsize
+            assert len(blob) == 8 + 24 + 8 + 4 * len(hidden) + 8 * (2 * x_dim + 2 * 2) + width * flow.params.size
+            back = load_checkpoint(blob)
+            assert (back.x_dim, back.cond_dim) == (x_dim, 2)
+            assert (back.config.hidden, len(back.nets), back.changed) == (hidden, n_blocks, flow.changed)
+            assert back.params.dtype == flow.params.dtype
+            for name in ("params", "x_mean", "x_scale", "cond_mean", "cond_scale"):
+                assert np.array_equal(getattr(back, name), getattr(flow, name)), name
+            assert save_checkpoint(back) == blob
+
+    def test_save_of_load_is_identity_at_both_widths(self):
+        flow = small_flow(x_dim=4, cond_dim=3, seed=22)
+        x, c = Rng(23).standard_normal((40, 4)), Rng(24).standard_normal((40, 3))
+        flow.fit_normalization(x, c)
+        trained = with_params(flow, flow.params.copy())
+        train_flow(trained, x, c, None, None, Rng(25), TrainConfig(max_epochs=2))
+        for flow, dtype in ((flow, np.float64), (trained, np.float32)):
+            blob = save_checkpoint(flow)
+            assert struct.unpack("<I", blob[28:32]) == (np.dtype(dtype).itemsize,)
+            back = load_checkpoint(blob)
+            assert back.params.dtype == dtype and save_checkpoint(back) == blob
+            assert all(np.shares_memory(W, back.params) for net in back.nets for W in net.weights)
+
+    @pytest.mark.parametrize("width", [0, 2, 16])
+    def test_other_widths_refused_before_nets_are_built(self, monkeypatch, width):
+        blob = bytearray(save_checkpoint(small_flow()))
+        width_at = 8 + 5 * 4  # magic, version, x_dim, cond_dim, n_blocks, n_hidden
+        assert blob[width_at : width_at + 4] == np.array([8], dtype="<u4").tobytes()
+        blob[width_at : width_at + 4] = np.array([width], dtype="<u4").tobytes()
+        self._forbid_nets(monkeypatch)
+        with pytest.raises(CheckpointError, match=f"^checkpoint parameter width must be 4 or 8 bytes, got {width}$"):
+            load_checkpoint(bytes(blob))
+
+    def test_v2_checkpoint_refused(self, monkeypatch):
+        # version 2 had no width field and stored the parameters as f8: a float64 flow's v3 payload less the width
+        blob = save_checkpoint(small_flow(x_dim=4, cond_dim=2, n_blocks=2, hidden=(8,)))
+        v2 = blob[:8] + struct.pack("<I", 2) + blob[12:28] + blob[32:]
+        self._forbid_nets(monkeypatch)
+        with pytest.raises(CheckpointError, match="^unsupported checkpoint version 2, expected 3$"):
+            load_checkpoint(v2)
 
     @staticmethod
     def _forbid_nets(monkeypatch):
@@ -794,7 +879,7 @@ class TestCheckpoint:
         # a short payload whose header claims two 4000-wide hidden layers
         # (about 130 MB of weights per block) is refused from its length
         blob = bytearray(save_checkpoint(small_flow(x_dim=4, cond_dim=2, n_blocks=2, hidden=(8, 8))))
-        hidden_at = 8 + 5 * 4 + 8  # magic, u32 header, s_max
+        hidden_at = 8 + 6 * 4 + 8  # magic, u32 header, s_max
         assert blob[hidden_at : hidden_at + 8] == np.array([8, 8], dtype="<u4").tobytes()
         blob[hidden_at : hidden_at + 8] = np.array([4000, 4000], dtype="<u4").tobytes()
         self._forbid_nets(monkeypatch)
@@ -812,7 +897,8 @@ class TestCheckpoint:
 
     def test_forged_block_and_layer_counts_refused_within_the_payload(self):
         # 60000 blocks of 60000 one-wide layers: the header's counts alone would list 7.2e9 shapes
-        header = b"SFLOWCKP" + struct.pack("<IIIIId", 2, 4, 2, 60000, 60000, 2.0) + struct.pack("<60000I", *[1] * 60000)
+        header = b"SFLOWCKP" + struct.pack("<IIIIIId", 3, 4, 2, 60000, 60000, 4, 2.0)
+        header += struct.pack("<60000I", *[1] * 60000)
         blob = header + bytes(720_000 - len(header))
         tracemalloc.start()
         try:
@@ -824,32 +910,34 @@ class TestCheckpoint:
         assert peak < len(blob)
 
     def test_load_allocates_the_parameter_vector_once(self):
-        # the flow adopts the vector read from the payload instead of copying it into a second one
+        # the flow adopts the vector read from the payload, at its width, instead of copying it into a second one
         flow = CouplingFlow.create(16, 16, Rng(0), FlowConfig())
-        blob = save_checkpoint(flow)
-        tracemalloc.start()
-        try:
-            back = load_checkpoint(blob)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(back.params, flow.params)
-        assert peak <= 1.2 * flow.params.nbytes
+        for flow in (flow, with_params(flow, flow.params.astype(np.float32))):
+            blob = save_checkpoint(flow)
+            tracemalloc.start()
+            try:
+                back = load_checkpoint(blob)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert back.params.dtype == flow.params.dtype and np.array_equal(back.params, flow.params)
+            assert peak <= 1.2 * flow.params.nbytes
 
     def test_v1_checkpoint_refused_before_nets_are_built(self, monkeypatch):
         # version 1 stored each block's kept-half mask, n_blocks * x_dim bytes, after the hidden widths
+        # and, like version 2, had no width field
         blob = save_checkpoint(small_flow(x_dim=4, cond_dim=2, n_blocks=2, hidden=(8,)))
-        header = 8 + 5 * 4 + 8 + 4 * 1  # magic, u32 header, s_max, one hidden width
+        header = 8 + 6 * 4 + 8 + 4 * 1  # magic, u32 header, s_max, one hidden width
         masks = bytes([1, 1, 0, 0, 0, 0, 1, 1])  # block 0 keeps lo, block 1 keeps hi
-        v1 = blob[:8] + struct.pack("<I", 1) + blob[12:header] + masks + blob[header:]
+        v1 = blob[:8] + struct.pack("<I", 1) + blob[12:28] + blob[32:header] + masks + blob[header:]
         self._forbid_nets(monkeypatch)
-        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1, expected 2"):
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1, expected 3"):
             load_checkpoint(v1)
 
     @pytest.mark.parametrize("s_max", [0.0, -2.0, np.inf, np.nan])
     def test_bad_s_max_rejected(self, s_max):
         blob = bytearray(save_checkpoint(small_flow()))
-        s_max_at = 8 + 5 * 4  # magic, u32 header
+        s_max_at = 8 + 6 * 4  # magic, u32 header
         blob[s_max_at : s_max_at + 8] = np.array([s_max], dtype="<f8").tobytes()
         with pytest.raises(CheckpointError, match="s_max"):
             load_checkpoint(bytes(blob))
@@ -857,7 +945,7 @@ class TestCheckpoint:
     def test_zero_hidden_width_rejected(self):
         # nets with a zero-wide hidden layer ignore their input; the header is refused by FlowConfig's rule
         blob = bytearray(save_checkpoint(small_flow(hidden=(8,))))
-        hidden_at = 8 + 5 * 4 + 8  # magic, u32 header, s_max
+        hidden_at = 8 + 6 * 4 + 8  # magic, u32 header, s_max
         blob[hidden_at : hidden_at + 4] = np.array([0], dtype="<u4").tobytes()
         with pytest.raises(CheckpointError, match=r"checkpoint hidden widths must be >= 1, got \[0\]"):
             load_checkpoint(bytes(blob))

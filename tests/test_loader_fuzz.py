@@ -9,7 +9,8 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from scoreflow.flow import CheckpointError, CouplingFlow, FlowConfig, load_checkpoint, save_checkpoint
+from scoreflow.flow import CheckpointError, CouplingFlow, FlowConfig, TrainConfig, load_checkpoint, save_checkpoint
+from scoreflow.flow import train_flow
 from scoreflow.numerics import Rng, SpdMatrix
 from scoreflow.problems import LinearGaussianProblem
 from scoreflow.summary import DatasetError, build_stage0, load_dataset, save_dataset
@@ -20,8 +21,13 @@ FUZZ = settings(
 )
 
 
-def _checkpoint() -> bytes:
-    return save_checkpoint(CouplingFlow.create(3, 3, Rng(0), FlowConfig(n_blocks=2, hidden=(4,))))
+def _checkpoint(trained: bool) -> bytes:
+    """A float64 flow's checkpoint (8-byte parameters), or a trained flow's (4-byte parameters)."""
+    flow = CouplingFlow.create(3, 3, Rng(0), FlowConfig(n_blocks=2, hidden=(4,)))
+    if trained:
+        x = Rng(2).standard_normal((8, 3))
+        train_flow(flow, x, x, None, None, Rng(3), TrainConfig(max_epochs=1))
+    return save_checkpoint(flow)
 
 
 def _dataset() -> bytes:
@@ -31,7 +37,8 @@ def _dataset() -> bytes:
     return save_dataset(build_stage0(problem, 6, Rng(1), val_fraction=0.5))
 
 
-CHECKPOINT = _checkpoint()
+CHECKPOINT = _checkpoint(trained=False)
+CHECKPOINT32 = _checkpoint(trained=True)
 DATASET = _dataset()
 
 
@@ -57,7 +64,7 @@ def mutated(draw, payload: bytes) -> bytes:
 
 
 @FUZZ
-@given(mutated(CHECKPOINT))
+@given(st.one_of(mutated(CHECKPOINT), mutated(CHECKPOINT32)))
 def test_load_checkpoint_raises_only_checkpoint_error(data):
     try:
         load_checkpoint(data)
@@ -75,6 +82,7 @@ def test_load_dataset_raises_only_dataset_error(data):
 
 
 def test_payloads_are_valid():
-    assert load_checkpoint(CHECKPOINT).x_dim == 3
+    assert load_checkpoint(CHECKPOINT).params.dtype == np.float64
+    assert load_checkpoint(CHECKPOINT32).params.dtype == np.float32
     ds = load_dataset(DATASET)
     assert (ds.n_records, ds.n_val) == (6, 3)

@@ -238,6 +238,31 @@ class TestFloat32Slots:
         assert after - before < flow.params.nbytes // 2  # no float32 copy of the weights is kept
         assert peak - before < n * n_s * x_dim * 8
 
+    def test_a_trained_flow_is_not_cast(self, monkeypatch):
+        # a trained flow holds `SAMPLE_DTYPE` weights, so the passes use them without a parameter-sized cast;
+        # hidden widths so wide that such a cast would dwarf what 4 records of 2 slots allocate
+        n, n_s, x_dim = 4, 2, 16
+        p = tiny_problem(seed=54, x_dim=x_dim, y_dim=x_dim + 2)
+        ds = build_stage0(p, n, Rng(55))
+        flows = [CouplingFlow.create(x_dim, x_dim, Rng(56), FlowConfig(n_blocks=2, hidden=(512, 512)))
+                 for _ in range(2)]
+        for flow in flows:
+            flow.fit_normalization(ds.dx, ds.ybar)
+        train_flow(flows[1], ds.dx, ds.ybar, None, None, Rng(57), TrainConfig(max_epochs=1))
+        set_cpus(monkeypatch, 1)
+        for flow, cast in zip(flows, (True, False)):
+            assert (flow.params.dtype == SAMPLE_DTYPE) != cast
+            advance_stage(ds, flow, p, n_s, Rng(58))  # warm-up: lazy set-up inside numpy
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                advance_stage(ds, flow, p, n_s, Rng(58))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            weights = flow.params.size * np.dtype(SAMPLE_DTYPE).itemsize
+            assert peak - before >= weights if cast else peak - before < weights // 8
+
 
 def set_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
