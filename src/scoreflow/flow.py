@@ -16,19 +16,15 @@ condition's term cn @ W_c + b is computed once per (block, condition) by
 broadcasts one row of it over all its draws, and `advance_stage` reuses a
 stage's terms across all its latent slots.
 
-Precision: a flow computes in its parameter vector's dtype. A flow that
-`create` or `CouplingFlow(...)` builds holds a float64 vector, and its
-public `forward`, `inverse` and `nll_loss_and_grads` run in float64.
-`train_flow` casts the vector to `TRAIN_DTYPE` (float32) once and trains
-it in place, Adam's moments included, so a trained flow, its checkpoint
-and a loaded flow hold float32 weights. The Monte Carlo passes, `sample`
-and `advance_stage`, run their coupling blocks in `SAMPLE_DTYPE`
-(float32): on a float32 flow `condition(cond, SAMPLE_DTYPE)` reuses the
-flow's nets, and on a float64 one it casts `params` once into nets that
-live only as long as the terms. Inputs and normalization are float64, and
-inputs are rounded to the computing dtype after normalizing. Latents are
-drawn in float64 and rounded to float32; each pass scales by `x_scale`,
-adds `x_mean` and returns in float64.
+Precision: a flow computes in its parameter vector's dtype, in every
+pass. A flow that `create` or `CouplingFlow(...)` builds holds a float64
+vector; `train_flow` casts it to `TRAIN_DTYPE` (float32) once and trains
+it in place, so a trained flow, its checkpoint and a loaded flow hold
+float32 weights and sample in float32, and a float64 flow samples in
+float64. Inputs, latents and normalization are float64; inputs are
+rounded to the vector's dtype after normalizing, and latents as they
+enter `inverse`. Each pass scales by `x_scale`, adds `x_mean` and
+returns in float64.
 
 Training is maximum likelihood on (x, cond) pairs: the loss is the batch
 mean of 0.5*||z||^2 - log_det. Note this drops the (d/2)*log(2*pi) base
@@ -71,8 +67,7 @@ MIN_LR = 1e-5
 # another block size, so a fixed size keeps outputs the same whatever the CPU count.
 INVERSE_ROWS = 256
 
-# the coupling passes of `sample` and `advance_stage`, and the training steps of `train_flow` (see module doc)
-SAMPLE_DTYPE = np.float32
+# the dtype `train_flow` casts a flow's vector to (see module doc)
 TRAIN_DTYPE = np.float32
 
 
@@ -325,36 +320,32 @@ class CouplingFlow:
         """Map x to latent z; returns (z, log_det) with log_det per sample."""
         return self._forward_impl(x, cond, want_cache=False)
 
-    def condition(self, cond, dtype=np.float64) -> list[tuple[ConditioningNet, np.ndarray]]:
-        """Per block, (net, condition term) of the rows of `cond` in `dtype`, for
-        `inverse`. For another dtype than the vector's the nets are views into one
-        cast of `params` that lives as long as the returned pairs."""
+    def condition(self, cond) -> list[np.ndarray]:
+        """Per block, the condition term of the rows of `cond` in the vector's dtype, for `inverse`."""
         cn = (self._rows(cond, self.cond_dim, "cond") - self.cond_mean) / self.cond_scale
-        nets = self.nets if dtype == self.params.dtype else self._nets(self.params.astype(dtype))
-        cn = cn.astype(dtype, copy=False)
-        return [(net, net.condition(cn)) for net in nets]
+        cn = cn.astype(self.params.dtype, copy=False)
+        return [net.condition(cn) for net in self.nets]
 
     def inverse(self, z, terms):
         """Map latent z back to x given the terms `condition` computed, so that
         several passes on the same conditions compute them once. `terms` has
-        one row per row of z, or a single row shared by all of them. The coupling
-        blocks run in the terms' dtype; x comes back in float64. Returns
-        (x, log_det) with the forward's log_det negated at the corresponding point.
-        More than `INVERSE_ROWS` + 1 rows run in row blocks of `INVERSE_ROWS`
-        through `ordered_map`, on every usable CPU."""
+        one row per row of z, or a single row shared by all of them. x comes
+        back in float64. Returns (x, log_det) with the forward's log_det negated
+        at the corresponding point. More than `INVERSE_ROWS` + 1 rows run in row
+        blocks of `INVERSE_ROWS` through `ordered_map`, on every usable CPU."""
         z = self._rows(z, self.x_dim, "x")
-        if len(terms) != len(self.nets) or len(terms[0][1]) not in (1, len(z)):
+        if len(terms) != len(self.nets) or len(terms[0]) not in (1, len(z)):
             raise ShapeError(f"terms must be `condition`'s for 1 or {len(z)} rows")
-        z = z.astype(terms[0][1].dtype, copy=False)
+        z = z.astype(self.params.dtype, copy=False)
         # a 1-row remainder joins the last block, as BLAS rounds 1-row products another way
         starts = range(0, len(z) - 1, INVERSE_ROWS)
         if len(starts) <= 1:
             return self._inverse(z, terms)
-        shared = len(terms[0][1]) == 1
+        shared = len(terms[0]) == 1
 
         def block(start):
             rows = slice(start, None if start == starts[-1] else start + INVERSE_ROWS)
-            return rows, self._inverse(z[rows], terms if shared else [(net, t[rows]) for net, t in terms])
+            return rows, self._inverse(z[rows], terms if shared else [t[rows] for t in terms])
 
         x, log_det = np.empty(z.shape), np.empty(len(z))
         for rows, (x_rows, log_det_rows) in ordered_map(block, starts):
@@ -362,13 +353,13 @@ class CouplingFlow:
         return x, log_det
 
     def _inverse(self, z, terms):
-        """`inverse` on checked arguments of the terms' dtype in one pass; `inverse`
+        """`inverse` on checked arguments of the vector's dtype in one pass; `inverse`
         and `advance_stage` call it from worker threads. Each coupling block gives
         its transformed half one new array and updates it in place; both halves are
         then scaled into one float64 output array."""
         halves = self._split(z)
         log_det = np.full(len(z), np.sum(np.log(self.x_scale)))
-        for i, (net, cterm) in zip(reversed(self.changed), reversed(terms)):
+        for i, net, cterm in zip(reversed(self.changed), reversed(self.nets), reversed(terms)):
             s, t, _ = self._coupling(net, halves[1 - i], cterm)
             log_det -= s.sum(axis=1)
             halves[i] = halves[i] - t  # never in place: a half starts as a view of z
@@ -416,15 +407,14 @@ class CouplingFlow:
         return loss, grad
 
     def sample(self, cond_vec, n: int, rng: Rng) -> np.ndarray:
-        """n conditional draws via the inverse flow on standard-normal latents,
-        with the coupling blocks in `SAMPLE_DTYPE`."""
+        """n conditional draws via the inverse flow on standard-normal latents."""
         cond_vec = np.asarray(cond_vec, dtype=np.float64)
         if cond_vec.shape != (self.cond_dim,):
             raise ShapeError(f"cond must have shape ({self.cond_dim},), got {cond_vec.shape}")
         if n < 1:
             raise ValueError("n must be >= 1")
         z = rng.standard_normal((n, self.x_dim))
-        x, _ = self.inverse(z, self.condition(cond_vec[None, :], SAMPLE_DTYPE))
+        x, _ = self.inverse(z, self.condition(cond_vec[None, :]))
         return x
 
 
@@ -470,7 +460,8 @@ def train_step(flow: CouplingFlow, opt: Adam, x, cond):
     Non-finite gradients skip the step and report stepped=False.
     """
     loss, grad = flow.nll_loss_and_grads(x, cond)
-    if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
+    # min and max allocate no temporary of the vector's size, as `np.isfinite(grad)` would
+    if not (np.isfinite(loss) and np.isfinite(grad.min()) and np.isfinite(grad.max())):
         return loss, False
     opt.step(grad)
     return loss, True

@@ -1,11 +1,10 @@
 """Dense linear algebra, reproducible RNG streams, binary payload reading,
 and the one thread pool of the package.
 
-All numerics are float64, except the flow's: training, `sample` and
-`advance_stage` run its coupling blocks in float32, and a trained flow
-keeps float32 weights (see `flow`'s module doc). Arrays are plain numpy ndarrays in row-major order; shape
-checks happen at module boundaries so downstream code can assume
-consistent dimensions.
+All numerics are float64, except a flow's passes, which run in its
+vector's dtype: float32 for a trained flow (see `flow`'s module doc).
+Arrays are plain numpy ndarrays in row-major order; shape checks happen
+at module boundaries so downstream code can assume consistent dimensions.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import SAMPLE_DTYPE, CouplingFlow, TrainConfig
+from .flow import CouplingFlow, TrainConfig
 from .numerics import ByteReader, Rng, ordered_map
 from .problems import InverseProblem
 
@@ -96,8 +96,8 @@ def advance_stage(
     x_{i+1} = x_i + empirical mean of n_s conditional flow samples given
     the stored score; scores are then recomputed at the new fiducials. Ground
     truth and observations are carried over untouched. The n_s inverse
-    passes run in `SAMPLE_DTYPE` on every CPU the process may use; the result
-    does not depend on how many there are.
+    passes run in the flow's dtype on every CPU the process may use; the
+    result does not depend on how many there are.
     """
     if n_s < 1:
         raise ValueError("n_s must be >= 1")
@@ -105,11 +105,11 @@ def advance_stage(
     next_stage = ds.stage + 1
     # per-record latent draws; each of the n_s slots sends one draw per record
     # through the inverse flow, all reusing the condition terms of ds.ybar;
-    # the float64 draws are stored rounded to the passes' dtype
-    z = np.empty((n, n_s, x_dim), SAMPLE_DTYPE)
+    # the float64 draws are stored rounded to the flow's dtype
+    z = np.empty((n, n_s, x_dim), flow.params.dtype)
     for i in range(n):
         z[i] = rng.child(_KEY_ADVANCE, next_stage, i).standard_normal((n_s, x_dim))
-    terms = flow.condition(ds.ybar, SAMPLE_DTYPE)
+    terms = flow.condition(ds.ybar)
     update = np.zeros((n, x_dim))
     # summed here in slot order, so the update is bitwise the same for every
     # CPU count; workers call the flow's private pass body, never a public

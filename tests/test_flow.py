@@ -1,17 +1,19 @@
+import ast
 import os
 import struct
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scoreflow
 from scoreflow.flow import (
     INVERSE_ROWS,
     LR_FACTOR,
     LR_PATIENCE,
     MIN_LR,
-    SAMPLE_DTYPE,
     TRAIN_DTYPE,
     Adam,
     CheckpointError,
@@ -276,13 +278,13 @@ class TestMatchesMaskReference:
 
     @pytest.mark.parametrize("x_dim", [1, 3, 16])
     def test_sample_with_shared_condition(self, x_dim):
-        # sampling runs its coupling blocks in float32: within float32 rounding of the float64 reference
+        # a float64 flow samples in float64
         flow, rng = self._flow(x_dim, seed=60 + x_dim)
         cond = rng.standard_normal(3)
         got = flow.sample(cond, 40, Rng(5))
         ref, _ = inverse_reference(flow, Rng(5).standard_normal((40, x_dim)), np.tile(cond, (40, 1)))
         assert got.dtype == np.float64
-        assert rel_err(got, ref) <= 1e-5
+        assert rel_err(got, ref) <= 1e-12
 
     def test_inverse_reuses_terms(self):
         flow, rng = self._flow(5, seed=80)
@@ -457,6 +459,21 @@ class TestTrainStep:
         loss0, grad = flow.nll_loss_and_grads(x, c)
         flow.params -= 1e-4 * grad
         assert flow.nll_loss(x, c) < loss0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_nonfinite_gradient_element_skips_the_step(self, monkeypatch, bad, where):
+        flow = small_flow(x_dim=2, cond_dim=2, seed=11)
+        opt = Adam(flow.params, 1e-3, 1e-3)
+        x, c = self._batch(n=8)
+        train_step(flow, opt, x, c)  # moments that a skipped step must leave as they are
+        _, grad = flow.nll_loss_and_grads(x, c)
+        grad[{"first": 0, "middle": grad.size // 2, "last": -1}[where]] = bad
+        monkeypatch.setattr(flow, "nll_loss_and_grads", lambda x, cond: (1.25, grad))
+        before = [a.copy() for a in (flow.params, opt.m, opt.v)]
+        assert train_step(flow, opt, x, c) == (1.25, False)
+        assert opt.t == 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((flow.params, opt.m, opt.v), before))  # bitwise
 
     def test_nonfinite_gradients_skip_step(self):
         flow = small_flow(x_dim=2, cond_dim=2, seed=10)
@@ -640,8 +657,7 @@ class TestSampling:
         flow = small_flow(x_dim=2, cond_dim=1, randomize=0.0)
         cond = np.zeros(1)
         got = flow.sample(cond, 50, Rng(42))
-        expected = Rng(42).standard_normal((50, 2)).astype(np.float32)  # the latents as the passes hold them
-        assert got.dtype == np.float64 and np.array_equal(got, expected)
+        assert got.dtype == np.float64 and np.array_equal(got, Rng(42).standard_normal((50, 2)))
 
     def test_trained_conditional_moments(self):
         rng = Rng(77)
@@ -686,9 +702,30 @@ def traced(call):
         tracemalloc.stop()
 
 
+def params_casts():
+    """(file, enclosing function) of every `<obj>.params.astype(...)` in the package's source."""
+    found = []
+
+    def visit(node, path, func):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "astype"
+                and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "params"):
+            found.append((path.name, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, node.name if isinstance(node, ast.FunctionDef) else func)
+
+    for path in sorted(Path(scoreflow.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    return found
+
+
+def test_only_train_flow_casts_a_parameter_vector():
+    # one precision per flow: every pass runs in the vector's dtype, which only training changes
+    assert params_casts() == [("flow.py", "train_flow")]
+
+
 class TestFloat32Sampling:
-    """`sample` runs its coupling blocks in `SAMPLE_DTYPE`, on a float64 flow through a transient cast of its
-    weights and on a trained (float32) flow on its own; `inverse` and a float64 flow stay float64."""
+    """A flow samples in its vector's dtype: a trained flow in float32 on its own weights, a float64 flow in
+    float64; neither allocates a copy of its weights, and samples come back in float64."""
 
     def _flow(self, seed=95, hidden=(64, 64), trained=False):
         # hidden widths large enough that a kept float32 copy of `params` would show
@@ -701,14 +738,18 @@ class TestFloat32Sampling:
             train_flow(flow, x, c, None, None, rng.child(1), TrainConfig(max_epochs=1))
         return flow, rng
 
-    def test_condition_casts_into_transient_nets(self):
-        flow, rng = self._flow()
-        pairs = flow.condition(rng.standard_normal((5, 4)), SAMPLE_DTYPE)
-        for (net, term), own in zip(pairs, flow.nets):
-            assert term.dtype == SAMPLE_DTYPE and all(W.dtype == SAMPLE_DTYPE for W in net.weights)
-            assert not np.shares_memory(net.weights[0], flow.params)
-            assert np.array_equal(net.weights[0], own.weights[0].astype(SAMPLE_DTYPE))
-        assert all(net is own for (net, _), own in zip(flow.condition(np.zeros((1, 4))), flow.nets))
+    def test_condition_terms_are_in_the_vector_dtype(self):
+        # wide hidden layers, so that a cast of the weights would dwarf 5 rows' terms
+        for trained in (False, True):
+            flow, rng = self._flow(hidden=(512, 512), trained=trained)
+            assert flow.params.dtype == (TRAIN_DTYPE if trained else np.float64)
+            c = rng.standard_normal((5, 4))
+            terms = flow.condition(c)
+            assert isinstance(terms, list) and len(terms) == len(flow.nets)
+            assert all(isinstance(t, np.ndarray) and t.shape == (5, 512) and t.dtype == flow.params.dtype
+                       for t in terms)
+            _, peak = traced(lambda: flow.condition(c))
+            assert peak < flow.params.nbytes // 8
 
     def test_sample_leaves_no_float32_array_on_the_flow(self):
         for trained in (False, True):
@@ -720,19 +761,17 @@ class TestFloat32Sampling:
             grown, _ = traced(lambda: flow.sample(cond, 300, Rng(3)))
             assert set(vars(flow)) == keys
             assert {k: v.dtype for k, v in vars(flow).items() if isinstance(v, np.ndarray)} == dtypes
-            assert dtypes.pop("params") == (SAMPLE_DTYPE if trained else np.float64)
+            assert dtypes.pop("params") == (TRAIN_DTYPE if trained else np.float64)
             assert all(d == np.float64 for d in dtypes.values())
             assert grown < flow.params.nbytes // 20  # a kept float32 copy would be half of params.nbytes or more
 
     def test_sample_on_a_trained_flow_allocates_nothing_parameter_sized(self):
         # wide hidden layers, so that a cast of the weights would dwarf 20 draws' activations
-        for trained in (False, True):
-            flow, rng = self._flow(hidden=(512, 512), trained=trained)
-            cond = rng.standard_normal(4)
-            flow.sample(cond, 20, Rng(3))  # warm-up: lazy set-up inside numpy and the pool
-            _, peak = traced(lambda: flow.sample(cond, 20, Rng(3)))
-            cast = flow.params.size * np.dtype(SAMPLE_DTYPE).itemsize
-            assert peak < cast // 8 if trained else peak >= cast
+        flow, rng = self._flow(hidden=(512, 512), trained=True)
+        cond = rng.standard_normal(4)
+        flow.sample(cond, 20, Rng(3))  # warm-up: lazy set-up inside numpy and the pool
+        _, peak = traced(lambda: flow.sample(cond, 20, Rng(3)))
+        assert flow.params.dtype == TRAIN_DTYPE and peak < flow.params.nbytes // 8
 
     def test_inverse_still_matches_float64_reference_after_sampling(self):
         flow, rng = self._flow()

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scoreflow.flow import SAMPLE_DTYPE, CouplingFlow, FlowConfig, TrainConfig, train_flow
+from scoreflow.flow import TRAIN_DTYPE, CouplingFlow, FlowConfig, TrainConfig, train_flow
 from scoreflow.numerics import ByteReader, Rng, SpdMatrix
 from scoreflow.pipeline import PipelineError, train_pipeline
 from scoreflow.problems import LinearGaussianProblem
@@ -32,6 +32,13 @@ def tiny_problem(seed=1, x_dim=2, y_dim=4):
 
 def identity_flow(x_dim):
     return CouplingFlow.create(x_dim, x_dim, Rng(0), FlowConfig(n_blocks=2, hidden=(4,)))
+
+
+def as_float32(flow):
+    """A flow like `flow`, normalization included, holding its weights rounded to float32, as a trained one does."""
+    out = CouplingFlow(flow.x_dim, flow.cond_dim, flow.config, flow.params.astype(np.float32))
+    out.set_normalization(flow.x_mean, flow.x_scale, flow.cond_mean, flow.cond_scale)
+    return out
 
 
 class TestBuildStage0:
@@ -139,8 +146,8 @@ class TestAdvanceStage:
         for k in range(n_s):
             update += inverse_reference(flow, z[:, k, :], ds.ybar)
         ref = ds.x_fid + update / n_s
-        # the slots' passes run in float32: within float32 rounding of the float64 reference
-        assert np.linalg.norm(got.x_fid - ref) <= 1e-5 * np.linalg.norm(ref)
+        # a float64 flow's slots run in float64
+        assert np.linalg.norm(got.x_fid - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
     def test_identity_flow_update_is_latent_mean(self):
@@ -211,8 +218,9 @@ class TestAdvanceStage:
 
 
 class TestFloat32Slots:
-    """The slots' passes run in `SAMPLE_DTYPE` on transient weights; the latent buffer is float32.
-    `TestParallelSlots` checks that the result is the same on 1 and 2 CPUs."""
+    """The slots' passes run in the flow's dtype on its own weights, and the latent buffer has that dtype:
+    float32 for a trained flow, float64 for a float64 one. `TestParallelSlots` checks that the result is the
+    same on 1 and 2 CPUs."""
 
     def test_no_float32_array_stays_and_peak_is_below_a_float64_latent_buffer(self, monkeypatch):
         n, n_s, x_dim = 40, 64, 16
@@ -223,6 +231,7 @@ class TestFloat32Slots:
         flow = CouplingFlow.create(x_dim, x_dim, rng, FlowConfig(n_blocks=2, hidden=(64,)))
         flow.params += 0.3 * rng.standard_normal(flow.params.size)
         flow.fit_normalization(ds.dx, ds.ybar)
+        flow = as_float32(flow)
         set_cpus(monkeypatch, 2)  # at most two slots' results alive at once, on any host
         keys = set(vars(flow))
         advance_stage(ds, flow, p, n_s, Rng(53))  # warm-up: lazy set-up inside numpy and the pool
@@ -233,35 +242,58 @@ class TestFloat32Slots:
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert set(vars(flow)) == keys
-        assert all(v.dtype == np.float64 for v in vars(flow).values() if isinstance(v, np.ndarray))
-        assert after - before < flow.params.nbytes // 2  # no float32 copy of the weights is kept
+        assert set(vars(flow)) == keys and flow.params.dtype == np.float32
+        assert all(v.dtype == np.float64 for k, v in vars(flow).items() if isinstance(v, np.ndarray) and k != "params")
+        assert after - before < flow.params.nbytes // 2  # no copy of the weights is kept
         assert peak - before < n * n_s * x_dim * 8
 
     def test_a_trained_flow_is_not_cast(self, monkeypatch):
-        # a trained flow holds `SAMPLE_DTYPE` weights, so the passes use them without a parameter-sized cast;
-        # hidden widths so wide that such a cast would dwarf what 4 records of 2 slots allocate
+        # a trained flow's passes use its own float32 weights; hidden widths so wide that a cast of them
+        # would dwarf what 4 records of 2 slots allocate
         n, n_s, x_dim = 4, 2, 16
         p = tiny_problem(seed=54, x_dim=x_dim, y_dim=x_dim + 2)
         ds = build_stage0(p, n, Rng(55))
-        flows = [CouplingFlow.create(x_dim, x_dim, Rng(56), FlowConfig(n_blocks=2, hidden=(512, 512)))
-                 for _ in range(2)]
-        for flow in flows:
-            flow.fit_normalization(ds.dx, ds.ybar)
-        train_flow(flows[1], ds.dx, ds.ybar, None, None, Rng(57), TrainConfig(max_epochs=1))
+        flow = CouplingFlow.create(x_dim, x_dim, Rng(56), FlowConfig(n_blocks=2, hidden=(512, 512)))
+        flow.fit_normalization(ds.dx, ds.ybar)
+        train_flow(flow, ds.dx, ds.ybar, None, None, Rng(57), TrainConfig(max_epochs=1))
         set_cpus(monkeypatch, 1)
-        for flow, cast in zip(flows, (True, False)):
-            assert (flow.params.dtype == SAMPLE_DTYPE) != cast
-            advance_stage(ds, flow, p, n_s, Rng(58))  # warm-up: lazy set-up inside numpy
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                advance_stage(ds, flow, p, n_s, Rng(58))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            weights = flow.params.size * np.dtype(SAMPLE_DTYPE).itemsize
-            assert peak - before >= weights if cast else peak - before < weights // 8
+        assert flow.params.dtype == TRAIN_DTYPE
+        advance_stage(ds, flow, p, n_s, Rng(58))  # warm-up: lazy set-up inside numpy
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            advance_stage(ds, flow, p, n_s, Rng(58))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < flow.params.nbytes // 8
+
+    def test_a_float64_flow_runs_in_float64(self, monkeypatch):
+        n, n_s, x_dim = 40, 64, 16
+        p = tiny_problem(seed=59, x_dim=x_dim, y_dim=x_dim + 2)
+        ds = build_stage0(p, n, Rng(60))
+        rng = Rng(61)
+        flow = CouplingFlow.create(x_dim, x_dim, rng, FlowConfig(n_blocks=2, hidden=(16,)))
+        flow.params += 0.3 * rng.standard_normal(flow.params.size)
+        flow.fit_normalization(ds.dx, ds.ybar)
+        set_cpus(monkeypatch, 2)
+        advance_stage(ds, flow, p, n_s, Rng(62))  # warm-up: lazy set-up inside numpy and the pool
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = advance_stage(ds, flow, p, n_s, Rng(62))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before >= n * n_s * x_dim * 8  # the latent buffer is float64
+        # a serial loop over public `inverse` on the unrounded float64 latents
+        z = np.stack([Rng(62).child(_KEY_ADVANCE, 1, i).standard_normal((n_s, x_dim)) for i in range(n)])
+        terms = flow.condition(ds.ybar)
+        update = np.zeros((n, x_dim))
+        for k in range(n_s):
+            update += flow.inverse(z[:, k, :], terms)[0]
+        update /= n_s
+        assert flow.params.dtype == np.float64 and np.array_equal(got.x_fid, ds.x_fid + update)
 
 
 def set_cpus(monkeypatch, cpus):
@@ -284,6 +316,7 @@ class TestParallelSlots:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_equals_serial_loop_over_public_inverse(self, monkeypatch, cpus, n_s):
         p, ds, flow = self._setup()
+        flow = as_float32(flow)  # as a trained flow holds its weights
         set_cpus(monkeypatch, cpus)
         threads, body = set(), CouplingFlow._inverse
 
@@ -296,10 +329,10 @@ class TestParallelSlots:
         monkeypatch.undo()
         w = min(cpus, n_s)
         assert (len(threads) == 1) if w == 1 else (2 <= len(threads) <= w)
-        # latents and terms as `advance_stage` builds them, in the passes' dtype
+        # latents and terms as `advance_stage` builds them, in the flow's dtype
         z = np.stack([Rng(43).child(_KEY_ADVANCE, 1, i).standard_normal((n_s, 3)) for i in range(9)])
-        z = z.astype(SAMPLE_DTYPE)
-        terms = flow.condition(ds.ybar, SAMPLE_DTYPE)
+        z = z.astype(flow.params.dtype)
+        terms = flow.condition(ds.ybar)
         update = np.zeros((9, 3))
         for k in range(n_s):
             update += flow.inverse(z[:, k, :], terms)[0]
