@@ -67,6 +67,11 @@ MIN_LR = 1e-5
 # another block size, so a fixed size keeps outputs the same whatever the CPU count.
 INVERSE_ROWS = 256
 
+# `create` and `advance_stage` make their Philox draws in contiguous runs of at most this many, on
+# every usable CPU. A constant, not a setting: every block and every record draws from its own
+# stream, so no value of it changes a bit, and a draw of no more than one run starts no thread.
+DRAW_RUN = 1 << 16
+
 # the dtype `train_flow` casts a flow's vector to (see module doc)
 TRAIN_DTYPE = np.float32
 
@@ -193,6 +198,22 @@ def param_shapes(x_dim: int, cond_dim: int, cfg: FlowConfig) -> list[tuple[int, 
     return [s for c in transformed_halves(x_dim, cfg.n_blocks) for s in net_shapes(x_dim, cond_dim, cfg.hidden, c)]
 
 
+def draw_in_runs(fill, counts) -> None:
+    """Call fill(i) for every i in range(len(counts)), where item i makes counts[i] draws from a
+    stream of its own, in contiguous runs of at most `DRAW_RUN` draws (an item over that runs alone),
+    the runs through `ordered_map`. `fill` draws only from streams built before this call, so that
+    every `Rng.child` call stays on the calling thread."""
+    runs, start, total = [], 0, 0
+    for i, count in enumerate(counts):
+        if i > start and total + count > DRAW_RUN:
+            runs.append(range(start, i))
+            start, total = i, 0
+        total += count
+    runs.append(range(start, len(counts)))
+    for _ in ordered_map(lambda run: [fill(i) for i in run], runs):
+        pass
+
+
 class CouplingFlow:
     """Stack of conditional affine coupling blocks with input normalization.
 
@@ -221,12 +242,17 @@ class CouplingFlow:
     def create(cls, x_dim, cond_dim, rng: Rng, cfg: FlowConfig):
         """A flow to train: block k draws its hidden weights from N(0, 1/fan_in)
         with `rng.child(k)`. Biases and output layers stay zero, so the flow
-        starts as the identity coupling (unit scale, zero shift)."""
+        starts as the identity coupling (unit scale, zero shift). The blocks draw
+        in `draw_in_runs`' runs, on every usable CPU; the weights do not depend
+        on how many there are."""
         flow = cls(x_dim, cond_dim, cfg)
-        for k, net in enumerate(flow.nets):
-            net_rng = rng.child(k)
-            for W in net.weights[:-1]:
-                W[...] = net_rng.standard_normal(W.shape) / np.sqrt(len(W))
+        streams = [rng.child(k) for k in range(len(flow.nets))]
+
+        def fill(k):
+            for W in flow.nets[k].weights[:-1]:
+                W[...] = streams[k].standard_normal(W.shape) / np.sqrt(len(W))
+
+        draw_in_runs(fill, [sum(W.size for W in net.weights[:-1]) for net in flow.nets])
         return flow
 
     def views(self, vec: np.ndarray) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:

@@ -48,6 +48,9 @@ class Rng:
     (2, s)     stage s's draws in `evaluate_testset`
 
     Every test observation, and every sweep size, draws from the same keys.
+    Each stream is a generator of its own, so streams built on one thread
+    may draw on different threads (as `flow.draw_in_runs` has them do);
+    one stream is drawn from by one thread at a time.
     """
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
@@ -222,7 +225,10 @@ def ordered_map(fn, items):
     `concurrent.futures` is not imported. The pool lives only inside the
     call, and an exception raised by `fn` on any thread reaches the caller
     as the same object once the pool's threads are joined. `fn` must not
-    call `ordered_map` itself, so that pools never nest.
+    call `ordered_map` itself, so that pools never nest. Its callers are
+    `flow.draw_in_runs` (the Philox draws of `CouplingFlow.create` and
+    `summary.advance_stage`), `CouplingFlow.inverse` (row blocks) and
+    `summary.advance_stage` (latent slots).
     """
     w = min(usable_cpus(), len(items))
     if w <= 1:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import shutil
 import tempfile
+import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -94,7 +95,9 @@ def train_pipeline(
     """Run the full training phase; returns the pipeline and per-stage datasets.
 
     On divergence the raised PipelineError carries the pipeline of the
-    flows completed so far, so callers can persist them.
+    flows completed so far, so callers can persist them. `progress` lines
+    report each stage's outcome with the wall seconds of its training and
+    of its fiducial advancement.
     """
     if L < 0:
         raise ValueError("L must be >= 0")
@@ -105,6 +108,7 @@ def train_pipeline(
     for j in range(L + 1):
         if progress:
             progress(f"stage {j}/{L}: training flow on {ds.n_records} records")
+        start = time.perf_counter()
         flow = CouplingFlow.create(problem.x_dim, problem.x_dim, rng.child(_KEY_FLOW_INIT, j), flow_cfg)
         dx_tr, ybar_tr = ds.train_arrays()
         dx_val, ybar_val = ds.val_arrays()
@@ -117,16 +121,19 @@ def train_pipeline(
         pipeline.stage_histories.append(history)
         if progress:
             epoch, val_loss = best_epoch(history)
-            progress(f"stage {j}/{L}: trained {len(history)} epochs, best epoch {epoch} "
-                     f"with validation NLL {val_loss:.6g}")
+            progress(f"stage {j}/{L}: trained {len(history)} epochs in {time.perf_counter() - start:.2f} s, "
+                     f"best epoch {epoch} with validation NLL {val_loss:.6g}")
         if j < L:
             if progress:
                 progress(f"stage {j}/{L}: advancing fiducials (n_s={train_cfg.n_s_train})")
+            start = time.perf_counter()
             try:
                 ds = advance_stage(ds, flow, problem, train_cfg.n_s_train, data_rng)
             except FloatingPointError as exc:
                 raise PipelineError(f"fiducial advancement diverged after stage {j}: {exc}", pipeline) from exc
             datasets.append(ds)
+            if progress:
+                progress(f"stage {j}/{L}: advanced {ds.n_records} fiducials in {time.perf_counter() - start:.2f} s")
     return pipeline, datasets
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import CouplingFlow, TrainConfig
+from .flow import CouplingFlow, TrainConfig, draw_in_runs
 from .numerics import ByteReader, Rng, ordered_map
 from .problems import InverseProblem
 
@@ -95,9 +95,10 @@ def advance_stage(
 
     x_{i+1} = x_i + empirical mean of n_s conditional flow samples given
     the stored score; scores are then recomputed at the new fiducials. Ground
-    truth and observations are carried over untouched. The n_s inverse
-    passes run in the flow's dtype on every CPU the process may use; the
-    result does not depend on how many there are.
+    truth and observations are carried over untouched. The records' latent
+    draws, in `draw_in_runs`' runs, and the n_s inverse passes, in the flow's
+    dtype, run on every CPU the process may use; the result does not depend
+    on how many there are.
     """
     if n_s < 1:
         raise ValueError("n_s must be >= 1")
@@ -107,8 +108,12 @@ def advance_stage(
     # through the inverse flow, all reusing the condition terms of ds.ybar;
     # the float64 draws are stored rounded to the flow's dtype
     z = np.empty((n, n_s, x_dim), flow.params.dtype)
-    for i in range(n):
-        z[i] = rng.child(_KEY_ADVANCE, next_stage, i).standard_normal((n_s, x_dim))
+    streams = [rng.child(_KEY_ADVANCE, next_stage, i) for i in range(n)]
+
+    def fill(i):
+        z[i] = streams[i].standard_normal((n_s, x_dim))
+
+    draw_in_runs(fill, [n_s * x_dim] * n)
     terms = flow.condition(ds.ybar)
     update = np.zeros((n, x_dim))
     # summed here in slot order, so the update is bitwise the same for every

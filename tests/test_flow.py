@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import scoreflow
+import scoreflow.flow as sf_flow
 from scoreflow.flow import (
+    DRAW_RUN,
     INVERSE_ROWS,
     LR_FACTOR,
     LR_PATIENCE,
@@ -20,6 +22,7 @@ from scoreflow.flow import (
     CouplingFlow,
     FlowConfig,
     TrainConfig,
+    draw_in_runs,
     load_checkpoint,
     save_checkpoint,
     train_flow,
@@ -381,6 +384,95 @@ class TestBlockedInverse:
             flow.inverse(rng.standard_normal((1000, 3)), flow.condition(rng.standard_normal((1, 4))))
         assert info.value is err
         assert threading.active_count() == before
+
+
+def record_threads(monkeypatch, owner, attr):
+    """Replace `owner.attr` with a wrapper that adds the ident of each calling thread to the returned set."""
+    threads, body = set(), getattr(owner, attr)
+
+    def recording(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return body(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, recording)
+    return threads
+
+
+class TestDrawInRuns:
+    """`draw_in_runs` groups contiguous items into runs of at most `DRAW_RUN` draws."""
+
+    def runs_of(self, monkeypatch, counts):
+        runs, real = [], sf_flow.ordered_map
+
+        def recording(fn, items):
+            runs.extend(items)
+            return real(fn, items)
+
+        monkeypatch.setattr(sf_flow, "ordered_map", recording)
+        filled = []
+        draw_in_runs(filled.append, counts)
+        assert sorted(filled) == list(range(len(counts)))  # every item once
+        return [list(run) for run in runs]
+
+    @pytest.mark.parametrize("counts, runs", [
+        ([], [[]]),
+        ([DRAW_RUN], [[0]]),
+        ([DRAW_RUN + 1], [[0]]),
+        ([DRAW_RUN // 2, DRAW_RUN // 2], [[0, 1]]),
+        ([DRAW_RUN // 2, DRAW_RUN // 2 + 1], [[0], [1]]),
+        ([1, DRAW_RUN, 1], [[0], [1], [2]]),
+        ([2 * DRAW_RUN, 1, 1], [[0], [1, 2]]),
+        ([DRAW_RUN // 4] * 10, [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]),
+    ])
+    def test_runs(self, monkeypatch, counts, runs):
+        assert self.runs_of(monkeypatch, counts) == runs
+
+
+class TestParallelCreate:
+    """`create` draws its blocks' weights in `draw_in_runs`' runs on every usable CPU."""
+
+    # 9 blocks of 10240 draws: runs of 6 and 3 blocks at the module's DRAW_RUN
+    X_DIM, CFG = 64, FlowConfig(n_blocks=9, hidden=(64, 64))
+
+    @staticmethod
+    def serial_reference(x_dim, cfg, rng):
+        """The weights of one block after another, each from its own stream, on this thread."""
+        flow = CouplingFlow(x_dim, x_dim, cfg)
+        for k, net in enumerate(flow.nets):
+            net_rng = rng.child(k)
+            for W in net.weights[:-1]:
+                W[...] = net_rng.standard_normal(W.shape) / np.sqrt(len(W))
+        return flow.params
+
+    @pytest.mark.parametrize("run", [None, 25000, 1], ids=["DRAW_RUN", "2_blocks", "1_block"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_equals_serial_per_block_reference(self, monkeypatch, cpus, run):
+        set_cpus(monkeypatch, cpus)
+        if run is not None:
+            monkeypatch.setattr(sf_flow, "DRAW_RUN", run)
+        per_run = sf_flow.DRAW_RUN // 10240 or 1
+        n_runs = -(-self.CFG.n_blocks // per_run)
+        main = threading.get_ident()
+        children = record_threads(monkeypatch, Rng, "child")
+        drawing = record_threads(monkeypatch, Rng, "standard_normal")
+        flow = CouplingFlow.create(self.X_DIM, self.X_DIM, Rng(5), self.CFG)
+        monkeypatch.undo()
+        assert np.array_equal(flow.params, self.serial_reference(self.X_DIM, self.CFG, Rng(5)))
+        assert children == {main}
+        w = min(cpus, n_runs)
+        assert (drawing == {main}) if w == 1 else (main in drawing and 2 <= len(drawing) <= w)
+
+    def test_a_draw_of_one_run_starts_no_thread(self, monkeypatch):
+        cfg = FlowConfig(n_blocks=6, hidden=(64, 64))  # 6 blocks of 10240 draws: 61440 <= DRAW_RUN
+        set_cpus(monkeypatch, 4)
+
+        def no_thread(thread):
+            raise AssertionError("create started a thread for one run of draws")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        flow = CouplingFlow.create(self.X_DIM, self.X_DIM, Rng(5), cfg)
+        monkeypatch.undo()
+        assert np.array_equal(flow.params, self.serial_reference(self.X_DIM, cfg, Rng(5)))
 
 
 class TestNllLoss:

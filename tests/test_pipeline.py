@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -35,6 +37,18 @@ FAST_FLOW = FlowConfig(n_blocks=2, hidden=(8,))
 FAST_TRAIN = TrainConfig(max_epochs=3, patience=3, n_s_train=4, n_s_infer=8)
 # a problem that a saved bundle can name: built from a complete config block
 TINY_BLOCK = validate_config({"problem": {"kind": "linear_gaussian", "x_dim": 2, "y_dim": 4}}).problem
+
+
+def record_threads(monkeypatch, owner, attr):
+    """Replace `owner.attr` with a wrapper that adds the ident of each calling thread to the returned set."""
+    threads, body = set(), getattr(owner, attr)
+
+    def recording(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return body(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, recording)
+    return threads
 
 
 class TestPosteriorEnsemble:
@@ -94,7 +108,8 @@ class TestTrainPipeline:
             assert all(np.isfinite(v) for _, tr, v in hist for v in (tr, v))
 
     def test_progress_reports_each_stages_outcome(self):
-        # epochs run, the best epoch and its validation NLL, read from each stage's history
+        # epochs run, the wall seconds they took, the best epoch and its validation NLL, read from each
+        # stage's history
         lines = []
         pipe, _ = train_pipeline(tiny_problem(), 40, 2, FAST_FLOW,
                                  TrainConfig(max_epochs=30, patience=4, n_s_train=4), Rng(6), progress=lines.append)
@@ -104,9 +119,12 @@ class TestTrainPipeline:
             vals = sorted(v for _, _, v in hist)
             assert all(b - a > 1e-6 for a, b in zip(vals, vals[1:]))  # so the kept epoch is the argmin
             kept = min(range(len(hist)), key=lambda i: hist[i][2])
-            assert line == (f"stage {j}/2: trained {len(hist)} epochs, best epoch {hist[kept][0]} "
-                            f"with validation NLL {hist[kept][2]:.6g}")
+            assert re.fullmatch(rf"stage {j}/2: trained {len(hist)} epochs in \d+\.\d\d s, best epoch "
+                                rf"{hist[kept][0]} with validation NLL {re.escape(f'{hist[kept][2]:.6g}')}", line)
         assert any(len(hist) < 30 for hist in pipe.stage_histories)  # early stopping showed
+        advanced = [line for line in lines if "advanced" in line]
+        assert [bool(re.fullmatch(rf"stage {j}/2: advanced 40 fiducials in \d+\.\d\d s", line))
+                for j, line in enumerate(advanced)] == [True, True]
 
     def test_failed_run_carries_its_finished_pipeline(self, monkeypatch):
         p = tiny_problem()
@@ -138,6 +156,23 @@ class TestTrainPipeline:
     def test_rejects_negative_stages(self):
         with pytest.raises(ValueError):
             train_pipeline(tiny_problem(), 4, -1, FAST_FLOW, FAST_TRAIN, Rng(7))
+
+    def test_traced_entry_points_stay_on_the_calling_thread(self, monkeypatch):
+        # bench/tracer.py wraps these with recorders that one thread at a time may enter; only the Philox
+        # draws and the inverse pass bodies may run on the pool's threads
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        p = tiny_problem(x_dim=64, y_dim=8)
+        # 9 blocks of 10240 weight draws and 40 records of 64 x 64 latents: more than one run of each
+        flow_cfg, train_cfg = FlowConfig(n_blocks=9, hidden=(64, 64)), TrainConfig(max_epochs=1, patience=1)
+        seen = {attr: record_threads(monkeypatch, owner, attr)
+                for owner, attr in [(Rng, "child"), (Rng, "standard_normal"), (LinearGaussianProblem, "score"),
+                                    (CouplingFlow, "inverse"), (CouplingFlow, "_inverse")]}
+        pipe, _ = train_pipeline(p, 40, 1, flow_cfg, train_cfg, Rng(9))
+        infer(pipe, np.zeros(8), 1000, Rng(10))
+        monkeypatch.undo()
+        main = threading.get_ident()
+        assert seen["child"] == seen["score"] == seen["inverse"] == {main}
+        assert len(seen["standard_normal"]) == len(seen["_inverse"]) == 2  # the pool did run beside them
 
 
 class TestInference:

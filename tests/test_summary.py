@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import scoreflow.flow as sf_flow
 from scoreflow.flow import TRAIN_DTYPE, CouplingFlow, FlowConfig, TrainConfig, train_flow
 from scoreflow.numerics import ByteReader, Rng, SpdMatrix
 from scoreflow.pipeline import PipelineError, train_pipeline
@@ -397,6 +398,83 @@ class TestParallelSlots:
         before = threading.active_count()
         advance_stage(ds, flow, p, 64, Rng(43))
         assert threading.active_count() == before
+
+
+def record_threads(monkeypatch, owner, attr):
+    """Replace `owner.attr` with a wrapper that adds the ident of each calling thread to the returned set."""
+    threads, body = set(), getattr(owner, attr)
+
+    def recording(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return body(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, recording)
+    return threads
+
+
+class TestParallelDraws:
+    """`advance_stage` draws its records' latents in `draw_in_runs`' runs on every usable CPU."""
+
+    N, X_DIM = 400, 3
+
+    def _setup(self):
+        p = tiny_problem(seed=50, x_dim=self.X_DIM, y_dim=5)
+        ds = build_stage0(p, self.N, Rng(51))
+        rng = Rng(52)
+        flow = CouplingFlow.create(self.X_DIM, self.X_DIM, rng, FlowConfig(n_blocks=3, hidden=(8,)))
+        flow.params += 0.4 * rng.standard_normal(flow.params.size)
+        flow.fit_normalization(ds.dx, ds.ybar)
+        return p, ds, as_float32(flow)
+
+    @staticmethod
+    def serial_reference(ds, flow, n_s, rng):
+        """New fiducials from latents drawn record after record, each from its own stream, on this thread."""
+        z = np.stack([rng.child(_KEY_ADVANCE, ds.stage + 1, i).standard_normal((n_s, ds.x_true.shape[1]))
+                      for i in range(ds.n_records)]).astype(flow.params.dtype)
+        terms = flow.condition(ds.ybar)
+        update = np.zeros(ds.x_true.shape)
+        for k in range(n_s):
+            update += flow.inverse(z[:, k, :], terms)[0]
+        update /= n_s
+        return ds.x_fid + update
+
+    # 400 records of 64 x 3 draws: 2 runs at the module's DRAW_RUN, 80 of 5 records, 400 of one
+    @pytest.mark.parametrize("run", [None, 960, 1], ids=["DRAW_RUN", "5_records", "1_record"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_equals_serial_per_record_reference(self, monkeypatch, cpus, run):
+        p, ds, flow = self._setup()
+        set_cpus(monkeypatch, cpus)
+        if run is not None:
+            monkeypatch.setattr(sf_flow, "DRAW_RUN", run)
+        per_run = sf_flow.DRAW_RUN // (64 * self.X_DIM) or 1
+        n_runs = -(-self.N // per_run)
+        main = threading.get_ident()
+        children = record_threads(monkeypatch, Rng, "child")
+        drawing = record_threads(monkeypatch, Rng, "standard_normal")
+        got = advance_stage(ds, flow, p, 64, Rng(53))
+        monkeypatch.undo()
+        assert np.array_equal(got.x_fid, self.serial_reference(ds, flow, 64, Rng(53)))
+        assert children == {main}
+        w = min(cpus, n_runs)
+        assert (drawing == {main}) if w == 1 else (main in drawing and 2 <= len(drawing) <= w)
+
+    @pytest.mark.parametrize("run, threads", [(400 * 3, False), (400 * 3 - 1, True)])
+    def test_a_draw_of_one_run_starts_no_thread(self, monkeypatch, run, threads):
+        # one slot, so the latents are the only work that could run beside the calling thread
+        p, ds, flow = self._setup()
+        set_cpus(monkeypatch, 4)
+        monkeypatch.setattr(sf_flow, "DRAW_RUN", run)
+        started, start = [], threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        got = advance_stage(ds, flow, p, 1, Rng(53))
+        monkeypatch.undo()
+        assert bool(started) == threads
+        assert np.array_equal(got.x_fid, self.serial_reference(ds, flow, 1, Rng(53)))
 
 
 class TestSerialization:
