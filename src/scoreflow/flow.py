@@ -12,9 +12,10 @@ coupling log-scales.
 
 The MLP's first weight matrix has an x part and a condition part. The
 condition's term cn @ W_c + b is computed once per (block, condition) by
-`condition` and added to the x part's product on every pass: `sample`
-broadcasts one row of it over all its draws, and `advance_stage` reuses a
-stage's terms across all its latent slots.
+`condition` and added to the x part's product on every pass, the pass's
+rows cycling through its rows: `sample` shares one row among all its
+draws, and `advance_stage` cycles each slot of a block of records through
+those records' terms.
 
 Precision: a flow computes in its parameter vector's dtype, in every
 pass. A flow that `create` or `CouplingFlow(...)` builds holds a float64
@@ -67,10 +68,22 @@ MIN_LR = 1e-5
 # another block size, so a fixed size keeps outputs the same whatever the CPU count.
 INVERSE_ROWS = 256
 
-# `create` and `advance_stage` make their Philox draws in contiguous runs of at most this many, on
-# every usable CPU. A constant, not a setting: every block and every record draws from its own
-# stream, so no value of it changes a bit, and a draw of no more than one run starts no thread.
+# `advance_stage` advances its n records in contiguous blocks of
+# m = max(ceil(n / ADVANCE_BLOCKS), ceil(ADVANCE_ROWS / n_s)) records, on every usable CPU: at most
+# ADVANCE_BLOCKS blocks, each one inverse pass over at least ADVANCE_ROWS rows where there are that
+# many. Constants, not settings, and never the CPU count: each record's rows give the same bits in any
+# block, but no pass may have one row (see `record_blocks`).
+ADVANCE_BLOCKS = 40
+ADVANCE_ROWS = 64
+
+# `create` makes its Philox draws in contiguous runs of at most this many, on every usable CPU. A
+# constant, not a setting: every block draws from its own stream, so no value of it changes a bit,
+# and a draw of no more than one run starts no thread.
 DRAW_RUN = 1 << 16
+
+# `Adam.step` works through its vectors in chunks of this many elements, so that the step's passes
+# over one chunk stay in cache. A vector of up to 2^17 elements (the linear problem's 130,656) is one chunk.
+ADAM_CHUNK = 1 << 17
 
 # the dtype `train_flow` casts a flow's vector to (see module doc)
 TRAIN_DTYPE = np.float32
@@ -147,11 +160,14 @@ class ConditioningNet:
     def forward(self, a: np.ndarray, cterm: np.ndarray):
         """Output for kept-half rows `a` plus a cache for backward.
 
-        `cterm` comes from `condition`: one row per row of `a`, or a single
-        row shared by all of them.
+        `cterm` comes from `condition`, and the rows of `a` cycle through its
+        rows: row r of `a` takes row r % len(cterm). So it holds one row per
+        row of `a`, a single row shared by all of them, or the rows of c
+        conditions that `a` repeats slot after slot. Nothing is copied.
         """
         h = a @ self.weights[0][: self.x_in]
-        h += cterm
+        cycled = h.reshape(-1, *cterm.shape)  # a view: h is a new C-ordered array
+        cycled += cterm
         cache = [a]
         for W, b in zip(self.weights[1:], self.biases[1:]):
             np.tanh(h, out=h)  # in place, saving a (rows, width) temporary per layer
@@ -196,6 +212,17 @@ def net_shapes(x_dim: int, cond_dim: int, hidden, changed: int) -> list[tuple[in
 def param_shapes(x_dim: int, cond_dim: int, cfg: FlowConfig) -> list[tuple[int, ...]]:
     """Shapes of the arrays of a flow's parameter vector, in order: block by block, its net's `net_shapes`."""
     return [s for c in transformed_halves(x_dim, cfg.n_blocks) for s in net_shapes(x_dim, cond_dim, cfg.hidden, c)]
+
+
+def record_blocks(n: int, n_s: int) -> list[range]:
+    """`advance_stage`'s contiguous blocks of its n records, each with n_s rows per record (see
+    `ADVANCE_BLOCKS`). A last block of one row joins the one before it, as BLAS rounds 1-row products
+    another way; with `ADVANCE_ROWS` >= 2 no other block has one row."""
+    m = max(-(-n // ADVANCE_BLOCKS), -(-ADVANCE_ROWS // n_s))
+    starts = list(range(0, n, m))
+    if n_s == 1 and len(starts) > 1 and starts[-1] == n - 1:
+        starts.pop()
+    return [range(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def draw_in_runs(fill, counts) -> None:
@@ -354,24 +381,28 @@ class CouplingFlow:
 
     def inverse(self, z, terms):
         """Map latent z back to x given the terms `condition` computed, so that
-        several passes on the same conditions compute them once. `terms` has
-        one row per row of z, or a single row shared by all of them. x comes
-        back in float64. Returns (x, log_det) with the forward's log_det negated
-        at the corresponding point. More than `INVERSE_ROWS` + 1 rows run in row
-        blocks of `INVERSE_ROWS` through `ordered_map`, on every usable CPU."""
+        several passes on the same conditions compute them once. The rows of z
+        cycle through the rows of `terms`, as in `ConditioningNet.forward`: one
+        row per row of z, a single row shared by all of them, or any number
+        that divides len(z). x comes back in float64. Returns (x, log_det) with
+        the forward's log_det negated at the corresponding point. More than
+        `INVERSE_ROWS` + 1 rows run in row blocks of `INVERSE_ROWS` through
+        `ordered_map`, on every usable CPU."""
         z = self._rows(z, self.x_dim, "x")
-        if len(terms) != len(self.nets) or len(terms[0]) not in (1, len(z)):
-            raise ShapeError(f"terms must be `condition`'s for 1 or {len(z)} rows")
+        cycle = len(terms[0]) if len(terms) == len(self.nets) else 0
+        if not cycle or len(z) % cycle:
+            raise ShapeError(f"terms must be `condition`'s for a number of rows that divides {len(z)}")
         z = z.astype(self.params.dtype, copy=False)
         # a 1-row remainder joins the last block, as BLAS rounds 1-row products another way
         starts = range(0, len(z) - 1, INVERSE_ROWS)
         if len(starts) <= 1:
             return self._inverse(z, terms)
-        shared = len(terms[0]) == 1
 
         def block(start):
-            rows = slice(start, None if start == starts[-1] else start + INVERSE_ROWS)
-            return rows, self._inverse(z[rows], terms if shared else [t[rows] for t in terms])
+            rows = slice(start, len(z) if start == starts[-1] else start + INVERSE_ROWS)
+            # a block's rows continue the cycle from its first row's place in it
+            cycled = np.arange(rows.start, rows.stop) % cycle if 1 < cycle < len(z) else rows
+            return rows, self._inverse(z[rows], terms if cycle == 1 else [t[cycled] for t in terms])
 
         x, log_det = np.empty(z.shape), np.empty(len(z))
         for rows, (x_rows, log_det_rows) in ordered_map(block, starts):
@@ -380,9 +411,9 @@ class CouplingFlow:
 
     def _inverse(self, z, terms):
         """`inverse` on checked arguments of the vector's dtype in one pass; `inverse`
-        and `advance_stage` call it from worker threads. Each coupling block gives
-        its transformed half one new array and updates it in place; both halves are
-        then scaled into one float64 output array."""
+        and `advance_stage` (on cycled terms) call it from worker threads. Each
+        coupling block gives its transformed half one new array and updates it in
+        place; both halves are then scaled into one float64 output array."""
         halves = self._split(z)
         log_det = np.full(len(z), np.sum(np.log(self.x_scale)))
         for i, net, cterm in zip(reversed(self.changed), reversed(self.nets), reversed(terms)):
@@ -447,9 +478,11 @@ class CouplingFlow:
 class Adam:
     """Adaptive-moment optimizer over a parameter vector, updated in place.
 
-    A step works through two scratch vectors it owns, so it allocates
-    nothing parameter-sized. Each expression keeps its association (for
-    example ((1-b2)*g)*g), which the bitwise training tests pin down.
+    A step works through its vectors in chunks of `ADAM_CHUNK` elements,
+    with two scratch vectors of one chunk that it owns, so it allocates
+    nothing. Each expression keeps its association (for example
+    ((1-b2)*g)*g), which the bitwise training tests pin down; every element
+    is updated on its own, so the chunk size moves no bit.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -461,23 +494,26 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
-        self._num = np.empty_like(params)
-        self._den = np.empty_like(params)
+        self._num = np.empty(min(params.size, ADAM_CHUNK), params.dtype)
+        self._den = np.empty_like(self._num)
 
     def step(self, grad: np.ndarray):
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        p, m, v, num, den = self.params, self.m, self.v, self._num, self._den
-        m *= self.beta1
-        m += np.multiply(1.0 - self.beta1, grad, out=num)
-        v *= self.beta2
-        v += np.multiply(np.multiply(1.0 - self.beta2, grad, out=num), grad, out=num)
-        np.sqrt(np.divide(v, b2t, out=den), out=den)
-        den += self.eps
-        p -= np.divide(np.multiply(self.lr, np.divide(m, b1t, out=num), out=num), den, out=num)
-        if self.weight_decay:
-            p -= np.multiply(self.lr * self.weight_decay, p, out=num)
+        for start in range(0, self.params.size, ADAM_CHUNK):
+            chunk = slice(start, start + ADAM_CHUNK)
+            p, m, v, g = self.params[chunk], self.m[chunk], self.v[chunk], grad[chunk]
+            num, den = self._num[: len(p)], self._den[: len(p)]
+            m *= self.beta1
+            m += np.multiply(1.0 - self.beta1, g, out=num)
+            v *= self.beta2
+            v += np.multiply(np.multiply(1.0 - self.beta2, g, out=num), g, out=num)
+            np.sqrt(np.divide(v, b2t, out=den), out=den)
+            den += self.eps
+            p -= np.divide(np.multiply(self.lr, np.divide(m, b1t, out=num), out=num), den, out=num)
+            if self.weight_decay:
+                p -= np.multiply(self.lr * self.weight_decay, p, out=num)
 
 
 def train_step(flow: CouplingFlow, opt: Adam, x, cond):
@@ -525,7 +561,10 @@ def train_flow(flow: CouplingFlow, x_train, cond_train, x_val, cond_val, rng: Rn
         history.append((epoch, train_loss, val_loss))
         if val_loss < best_val - MIN_IMPROVEMENT:
             best_val = val_loss
-            best = flow.params.copy()
+            if best is None:
+                best = flow.params.copy()
+            else:
+                best[...] = flow.params  # one buffer for every improvement
             since_best = 0
         else:
             since_best += 1

@@ -169,7 +169,8 @@ def evaluate_testset(
             if oracle is not None or s == L + 1:
                 x_prev, ybar_prev = traj[s - 1]
                 deltas = pipeline.flows[s - 1].sample(ybar_prev, n_samples, obs_rng.child(2, s))
-                ens = PosteriorEnsemble.from_samples(x_prev + deltas)
+                deltas += x_prev  # in place: the samples, without a second (n_samples, x_dim) array
+                ens = PosteriorEnsemble.from_samples(deltas)
                 if oracle is not None:
                     mean_err, cov_err = moment_errors(ens, oracle)
             if s <= L:

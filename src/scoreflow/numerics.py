@@ -49,7 +49,8 @@ class Rng:
 
     Every test observation, and every sweep size, draws from the same keys.
     Each stream is a generator of its own, so streams built on one thread
-    may draw on different threads (as `flow.draw_in_runs` has them do);
+    may draw on different threads (as `CouplingFlow.create` and
+    `summary.advance_stage` have them do);
     one stream is drawn from by one thread at a time.
     """
 
@@ -226,9 +227,9 @@ def ordered_map(fn, items):
     call, and an exception raised by `fn` on any thread reaches the caller
     as the same object once the pool's threads are joined. `fn` must not
     call `ordered_map` itself, so that pools never nest. Its callers are
-    `flow.draw_in_runs` (the Philox draws of `CouplingFlow.create` and
-    `summary.advance_stage`), `CouplingFlow.inverse` (row blocks) and
-    `summary.advance_stage` (latent slots).
+    `flow.draw_in_runs` (the Philox draws of `CouplingFlow.create`),
+    `CouplingFlow.inverse` (row blocks) and `summary.advance_stage`
+    (record blocks, each drawn, inverted and averaged on one thread).
     """
     w = min(usable_cpus(), len(items))
     if w <= 1:

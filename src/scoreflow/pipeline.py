@@ -164,7 +164,8 @@ def infer(pipeline: TrainedPipeline, y, n_samples: int, rng: Rng) -> PosteriorEn
     traj = intermediate_trajectory(pipeline, y, rng)
     x_final, ybar_final = traj[-1]
     deltas = pipeline.flows[-1].sample(ybar_final, n_samples, rng.child(_KEY_INFER_SAMPLE))
-    ens = PosteriorEnsemble.from_samples(x_final + deltas)
+    deltas += x_final  # in place: the samples, without a second (n_samples, x_dim) array
+    ens = PosteriorEnsemble.from_samples(deltas)
     ens.trajectory = traj
     return ens
 

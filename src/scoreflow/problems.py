@@ -56,6 +56,13 @@ class InverseProblem:
     def score(self, x0, y) -> np.ndarray:
         raise NotImplementedError
 
+    def scores(self, X, Y) -> np.ndarray:
+        """The score at each row of X given the same row of Y, (n, x_dim): `score` row by row."""
+        out = np.empty((len(X), self.x_dim))
+        for i in range(len(X)):
+            out[i] = self.score(X[i], Y[i])
+        return out
+
     def sample_prior(self, rng: Rng) -> np.ndarray:
         raise NotImplementedError
 
@@ -258,40 +265,43 @@ class NonlinearToyProblem(InverseProblem):
         self._rim_mask[:, 0] = self._rim_mask[:, -1] = True
 
     def _blur(self, img):
-        """Zero-padded 3x3 convolution, as SciPy's `ndimage.convolve` sums it: the flipped kernel's taps
-        in row-major order, skipping taps of at most machine epsilon, so blurs keep SciPy's bits."""
+        """Zero-padded 3x3 convolution of each g-by-g image of `img` (..., g, g), as SciPy's `ndimage.convolve`
+        sums it: the flipped kernel's taps in row-major order, skipping taps of at most machine epsilon, so
+        blurs keep SciPy's bits."""
         g = self.grid
-        padded = np.zeros((g + 2, g + 2))
-        padded[1:-1, 1:-1] = img
-        out = np.zeros((g, g))
+        padded = np.zeros(img.shape[:-2] + (g + 2, g + 2))
+        padded[..., 1:-1, 1:-1] = img
+        out = np.zeros(img.shape)
         for (i, j), w in np.ndenumerate(self.kernel[::-1, ::-1]):
             if abs(w) > _EPS:
-                out += padded[i : i + g, j : j + g] * w
+                out += padded[..., i : i + g, j : j + g] * w
         return out
 
     def _activation(self, x):
-        """tanh(alpha * blur(x)) on the whole grid: the forward map before rows are dropped."""
-        return np.tanh(self.nonlin_scale * self._blur(self._check_x(x).reshape(self.grid, self.grid)))
+        """tanh(alpha * blur(x)) on the whole grid, (..., g, g), for checked rows `x` (..., x_dim): the
+        forward map before rows are dropped."""
+        return np.tanh(self.nonlin_scale * self._blur(x.reshape(x.shape[:-1] + self.image_shape)))
 
     def _vjp(self, act, v):
-        """J^T v at the point whose activation is `act`; the blur is self-adjoint under zero padding."""
+        """J^T v, (..., x_dim), at the points whose activations are `act` (..., g, g), for `v` (..., y_dim);
+        the blur is self-adjoint under zero padding."""
         deriv = self.nonlin_scale * (1.0 - act**2)
-        full = np.zeros((self.grid, self.grid))
-        full[: self.observed_rows] = v.reshape(self.observed_rows, self.grid)
-        return self._blur(deriv * full).ravel()
+        full = np.zeros(act.shape)
+        full[..., : self.observed_rows, :] = v.reshape(v.shape[:-1] + (self.observed_rows, self.grid))
+        return self._blur(deriv * full).reshape(v.shape[:-1] + (self.x_dim,))
 
     def forward(self, x):
-        return self._activation(x)[: self.observed_rows].ravel()
+        return self._activation(self._check_x(x))[: self.observed_rows].ravel()
 
     def forward_jvp(self, x, u):
         """Directional derivative of the forward map: J(x) u."""
-        deriv = self.nonlin_scale * (1.0 - self._activation(x) ** 2)
-        du = deriv * self._blur(self._check_x(u).reshape(self.grid, self.grid))
+        deriv = self.nonlin_scale * (1.0 - self._activation(self._check_x(x)) ** 2)
+        du = deriv * self._blur(self._check_x(u).reshape(self.image_shape))
         return du[: self.observed_rows].ravel()
 
     def forward_vjp(self, x, v):
         """Adjoint action J(x)^T v."""
-        return self._vjp(self._activation(x), self._check_y(v))
+        return self._vjp(self._activation(self._check_x(x)), self._check_y(v))
 
     def sample_noise(self, rng: Rng):
         return self.noise_std * rng.standard_normal(self.y_dim)
@@ -302,9 +312,16 @@ class NonlinearToyProblem(InverseProblem):
         return -0.5 * (np.sum(r * r) / var + self.y_dim * np.log(var) + self.y_dim * LOG_2PI)
 
     def score(self, x0, y):
-        y = self._check_y(y)
-        act = self._activation(x0)
-        return self._vjp(act, (y - act[: self.observed_rows].ravel()) / self.noise_std**2)
+        return self.scores(self._check_x(x0)[None], self._check_y(y)[None])[0]
+
+    def scores(self, X, Y):
+        """Every row's score in one batch of array operations, each row's bits those of `score`'s."""
+        X, Y = np.asarray(X, dtype=np.float64), np.asarray(Y, dtype=np.float64)
+        if X.shape[1:] != (self.x_dim,) or Y.shape != (len(X), self.y_dim):
+            raise ShapeError(f"need (n, {self.x_dim}) and (n, {self.y_dim}) rows, got {X.shape} and {Y.shape}")
+        act = self._activation(X)
+        observed = act[:, : self.observed_rows].reshape(len(X), self.y_dim)
+        return self._vjp(act, (Y - observed) / self.noise_std**2)
 
     def sample_prior(self, rng: Rng):
         field = _gaussian_filter(rng.standard_normal((self.grid, self.grid)), self.blob_smoothness)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import CouplingFlow, TrainConfig, draw_in_runs
+from .flow import CouplingFlow, TrainConfig, record_blocks
 from .numerics import ByteReader, Rng, ordered_map
 from .problems import InverseProblem
 
@@ -61,10 +61,7 @@ class FiducialDataset:
 
 def _scored(stage: int, problem: InverseProblem, x_true, y, x_fid, n_val: int) -> FiducialDataset:
     """The stage's dataset: these records with each one's score at its fiducial."""
-    ybar = np.empty(x_fid.shape)
-    for i in range(x_fid.shape[0]):
-        ybar[i] = problem.score(x_fid[i], y[i])
-    return FiducialDataset(stage, x_true, y, x_fid, ybar, n_val)
+    return FiducialDataset(stage, x_true, y, x_fid, problem.scores(x_fid, y), n_val)
 
 
 def build_stage0(
@@ -95,33 +92,38 @@ def advance_stage(
 
     x_{i+1} = x_i + empirical mean of n_s conditional flow samples given
     the stored score; scores are then recomputed at the new fiducials. Ground
-    truth and observations are carried over untouched. The records' latent
-    draws, in `draw_in_runs`' runs, and the n_s inverse passes, in the flow's
-    dtype, run on every CPU the process may use; the result does not depend
-    on how many there are.
+    truth and observations are carried over untouched. The records run in
+    `record_blocks`' blocks on every CPU the process may use, and each block
+    draws its records' latents, makes one inverse pass over all their slots
+    in the flow's dtype and averages each record's slots in slot order; the
+    result does not depend on how many CPUs there are.
     """
     if n_s < 1:
         raise ValueError("n_s must be >= 1")
     n, x_dim = ds.x_true.shape
     next_stage = ds.stage + 1
-    # per-record latent draws; each of the n_s slots sends one draw per record
-    # through the inverse flow, all reusing the condition terms of ds.ybar;
-    # the float64 draws are stored rounded to the flow's dtype
-    z = np.empty((n, n_s, x_dim), flow.params.dtype)
+    # every stream is built here: workers only draw from them
     streams = [rng.child(_KEY_ADVANCE, next_stage, i) for i in range(n)]
-
-    def fill(i):
-        z[i] = streams[i].standard_normal((n_s, x_dim))
-
-    draw_in_runs(fill, [n_s * x_dim] * n)
     terms = flow.condition(ds.ybar)
     update = np.zeros((n, x_dim))
-    # summed here in slot order, so the update is bitwise the same for every
-    # CPU count; workers call the flow's private pass body, never a public
-    # method that a caller may have wrapped or that would start a pool itself
-    for x, _ in ordered_map(lambda k: flow._inverse(z[:, k, :], terms), range(n_s)):
-        update += x
-    update /= n_s
+
+    def advance(records):
+        # slot-major rows: row k * m + j is slot k of the block's record j, so the rows cycle through
+        # the records' condition terms; the float64 draws are stored rounded to the flow's dtype
+        rows, m = slice(records.start, records.stop), len(records)
+        z = np.empty((n_s, m, x_dim), flow.params.dtype)
+        for j, i in enumerate(records):
+            z[:, j] = streams[i].standard_normal((n_s, x_dim))
+        # workers call the flow's private pass body, never a public method that a caller may have
+        # wrapped or that would start a pool itself
+        x, _ = flow._inverse(z.reshape(n_s * m, x_dim), [t[rows] for t in terms])
+        mean = update[rows]  # each block fills its own rows, summing its slots in slot order
+        for k in range(n_s):
+            mean += x[k * m : (k + 1) * m]
+        mean /= n_s
+
+    for _ in ordered_map(advance, record_blocks(n, n_s)):
+        pass
     bad = np.flatnonzero(~np.all(np.isfinite(update), axis=1))
     if bad.size:
         raise FloatingPointError(f"non-finite fiducial update for records {bad.tolist()}")

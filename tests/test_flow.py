@@ -11,6 +11,7 @@ import pytest
 import scoreflow
 import scoreflow.flow as sf_flow
 from scoreflow.flow import (
+    ADAM_CHUNK,
     DRAW_RUN,
     INVERSE_ROWS,
     LR_FACTOR,
@@ -302,7 +303,7 @@ class TestMatchesMaskReference:
     def test_inverse_rejects_other_batch_sizes(self):
         flow, _ = self._flow(3, seed=81)
         with pytest.raises(ShapeError):
-            flow.inverse(np.zeros((4, 3)), flow.condition(np.zeros((2, 3))))
+            flow.inverse(np.zeros((5, 3)), flow.condition(np.zeros((2, 3))))  # 5 rows cannot cycle through 2
         with pytest.raises(ShapeError):
             flow.inverse(np.zeros((3, 3)), np.zeros((3, 3)))  # conditions, not their terms
         with pytest.raises(ShapeError):
@@ -311,6 +312,35 @@ class TestMatchesMaskReference:
 
 def set_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+class TestCycledTerms:
+    """Rows cycle through the rows of the condition terms: c terms serve rows k * c + j, for every k."""
+
+    @pytest.mark.parametrize("cycle, repeats", [(1, 7), (3, 4), (5, 1)])
+    def test_forward_equals_repeated_terms(self, cycle, repeats):
+        flow = small_flow(x_dim=6, cond_dim=4, n_blocks=2, hidden=(16, 16), seed=95)
+        rng = Rng(96)
+        net = flow.nets[0]
+        a = rng.standard_normal((cycle * repeats, net.x_in))
+        cterm = net.condition(rng.standard_normal((cycle, 4)))
+        got, got_cache = net.forward(a, cterm)
+        ref, ref_cache = net.forward(a, np.tile(cterm, (repeats, 1)))
+        assert np.array_equal(got, ref)
+        assert all(np.array_equal(g, r) for g, r in zip(got_cache, ref_cache))
+
+    # one pass, row blocks whose starts fall inside a cycle, and per-row terms in row blocks
+    @pytest.mark.parametrize("n, cycle", [(12, 4), (1000, 8), (999, 3), (600, 600)])
+    def test_inverse_equals_repeated_terms(self, monkeypatch, n, cycle):
+        flow = small_flow(x_dim=5, cond_dim=4, n_blocks=3, hidden=(16,), seed=97)
+        rng = Rng(98)
+        z = rng.standard_normal((n, 5))
+        terms = flow.condition(rng.standard_normal((cycle, 4)))
+        repeated = [np.tile(t, (n // cycle, 1)) for t in terms]
+        set_cpus(monkeypatch, 2)
+        got = flow.inverse(z, terms)
+        for ref in (flow.inverse(z, repeated), flow._inverse(z, repeated), flow._inverse(z, terms)):
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
 class TestBlockedInverse:
@@ -576,6 +606,27 @@ class TestTrainStep:
             train_step(flow, opt, x, c)
 
 
+class TestAdamChunks:
+    """`Adam.step` works through `ADAM_CHUNK`-element chunks; every element is updated on its own."""
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    @pytest.mark.parametrize("chunk", [1, 7, ADAM_CHUNK])
+    def test_equals_one_chunk(self, monkeypatch, chunk, weight_decay):
+        size = ADAM_CHUNK + 1000  # more than one chunk at the module's size
+        rng = Rng(99)
+        start = rng.standard_normal(size).astype(np.float32)
+        grads = rng.standard_normal((3, size)).astype(np.float32)
+        got = []
+        for c in (chunk, 2 * size):
+            monkeypatch.setattr(sf_flow, "ADAM_CHUNK", c)
+            opt = Adam(start.copy(), 1e-2, weight_decay)
+            for g in grads:
+                opt.step(g)
+            assert opt._num.size == opt._den.size == min(c, size)  # scratch vectors of one chunk
+            got.append((opt.params, opt.m, opt.v))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(*got))
+
+
 class TestParameterVector:
     def test_net_arrays_are_views_in_checkpoint_order(self):
         flow = small_flow(x_dim=5, cond_dim=2, n_blocks=3, hidden=(4, 6))
@@ -726,6 +777,27 @@ class TestFloat32Training:
         # the float32 vector, Adam's four and a gradient or the best-weight snapshot: 6 float32 vectors;
         # a float32 copy beside the float64 vector would add 3 more
         assert flow.params.dtype == TRAIN_DTYPE and peak < 7 * flow.params.nbytes
+
+    def test_improving_epochs_copy_the_weights_once(self):
+        # every new best is copied into the buffer of the first one; a copy of the vector per improvement
+        # would have two snapshots alive at once
+        class CountingCopies(np.ndarray):
+            copies = 0
+
+            def copy(self, *args, **kwargs):
+                CountingCopies.copies += 1
+                return super().copy(*args, **kwargs)
+
+        rng = Rng(68)
+        c = rng.standard_normal((40, 2))
+        x = c @ rng.standard_normal((2, 3)) + 0.3 * rng.standard_normal((40, 3))
+        flow = small_flow(x_dim=3, cond_dim=2, seed=69)
+        flow = with_params(flow, flow.params.astype(TRAIN_DTYPE).view(CountingCopies))
+        flow.fit_normalization(x, c)
+        history = train_flow(flow, x[:32], c[:32], x[32:], c[32:], Rng(70), TrainConfig(lr=1e-3, max_epochs=5))
+        val = [v for _, _, v in history]
+        assert all(b < a - 1e-6 for a, b in zip(val, val[1:]))  # five improvements
+        assert CountingCopies.copies == 1
 
     def test_float32_gradients_match_float64(self):
         rng = Rng(63)

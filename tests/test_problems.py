@@ -67,6 +67,12 @@ class TestLinearGaussian:
             fd = fd_score(p, x0, y)
             assert np.abs(s - fd).max() / max(np.abs(fd).max(), 1.0) <= 1e-5
 
+    def test_scores_are_score_row_by_row(self):
+        p = small_linear()
+        rng = Rng(8)
+        X, Y = rng.standard_normal((6, p.x_dim)), rng.standard_normal((6, p.y_dim))
+        assert np.array_equal(p.scores(X, Y), np.stack([p.score(x, y) for x, y in zip(X, Y)]))
+
     def test_score_affine_in_y(self):
         # with a linear forward map the score is affine in the observation
         p = small_linear(seed=7)
@@ -266,6 +272,24 @@ class TestNonlinearToy:
         for k, x0 in enumerate(points):
             y = p.simulate(p.sample_prior(rng.child(10 + k)), rng.child(20 + k))
             assert np.array_equal(p.score(x0, y), self._reference_score(p, x0, y))
+
+    @pytest.mark.parametrize("grid, rows", [(16, 6), (12, 4)], ids=["default_grid", "grid_12"])
+    def test_scores_equal_a_loop_over_score_bitwise(self, grid, rows):
+        p = NonlinearToyProblem(grid=grid, observed_rows=rows)
+        rng = Rng(grid + 70)
+        X = np.stack([p.default_fiducial(), np.zeros(p.x_dim)] + [p.sample_prior(rng.child(k)) for k in range(20)])
+        Y = np.stack([p.simulate(p.sample_prior(rng.child(100 + k)), rng.child(200 + k)) for k in range(len(X))])
+        got = p.scores(X, Y)
+        assert got.shape == (len(X), p.x_dim)
+        assert np.array_equal(got, np.stack([p.score(x, y) for x, y in zip(X, Y)]))
+        assert np.array_equal(got, np.stack([self._reference_score(p, x, y) for x, y in zip(X, Y)]))
+
+    def test_scores_check_shapes(self):
+        p = NonlinearToyProblem(grid=8, observed_rows=3)
+        X, Y = np.zeros((4, p.x_dim)), np.zeros((4, p.y_dim))
+        for bad in ((X[:, 1:], Y), (X, Y[:3]), (X, Y[:, 1:]), (X[0], Y[0])):
+            with pytest.raises(ShapeError):
+                p.scores(*bad)
 
     def test_score_blurs_twice(self, monkeypatch):
         p = NonlinearToyProblem(grid=8, observed_rows=3)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import scoreflow.flow as sf_flow
-from scoreflow.flow import TRAIN_DTYPE, CouplingFlow, FlowConfig, TrainConfig, train_flow
+from scoreflow.flow import TRAIN_DTYPE, CouplingFlow, FlowConfig, TrainConfig, record_blocks, train_flow
 from scoreflow.numerics import ByteReader, Rng, SpdMatrix
 from scoreflow.pipeline import PipelineError, train_pipeline
 from scoreflow.problems import LinearGaussianProblem
@@ -219,7 +219,7 @@ class TestAdvanceStage:
 
 
 class TestFloat32Slots:
-    """The slots' passes run in the flow's dtype on its own weights, and the latent buffer has that dtype:
+    """The slots' passes run in the flow's dtype on its own weights, and the latents are rounded to that dtype:
     float32 for a trained flow, float64 for a float64 one. `TestParallelSlots` checks that the result is the
     same on 1 and 2 CPUs."""
 
@@ -278,15 +278,7 @@ class TestFloat32Slots:
         flow.params += 0.3 * rng.standard_normal(flow.params.size)
         flow.fit_normalization(ds.dx, ds.ybar)
         set_cpus(monkeypatch, 2)
-        advance_stage(ds, flow, p, n_s, Rng(62))  # warm-up: lazy set-up inside numpy and the pool
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            got = advance_stage(ds, flow, p, n_s, Rng(62))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - before >= n * n_s * x_dim * 8  # the latent buffer is float64
+        got = advance_stage(ds, flow, p, n_s, Rng(62))
         # a serial loop over public `inverse` on the unrounded float64 latents
         z = np.stack([Rng(62).child(_KEY_ADVANCE, 1, i).standard_normal((n_s, x_dim)) for i in range(n)])
         terms = flow.condition(ds.ybar)
@@ -302,7 +294,7 @@ def set_cpus(monkeypatch, cpus):
 
 
 class TestParallelSlots:
-    """`advance_stage` runs its slots' passes on every usable CPU and sums them in slot order."""
+    """`advance_stage` runs its record blocks on every usable CPU and sums each record's slots in slot order."""
 
     def _setup(self):
         p = tiny_problem(seed=40, x_dim=3, y_dim=5)
@@ -328,7 +320,7 @@ class TestParallelSlots:
         monkeypatch.setattr(CouplingFlow, "_inverse", recording)
         got = advance_stage(ds, flow, p, n_s, Rng(43))
         monkeypatch.undo()
-        w = min(cpus, n_s)
+        w = min(cpus, len(record_blocks(9, n_s)))  # 1 and 5 slots make one block of 9 records, 64 slots 9
         assert (len(threads) == 1) if w == 1 else (2 <= len(threads) <= w)
         # latents and terms as `advance_stage` builds them, in the flow's dtype
         z = np.stack([Rng(43).child(_KEY_ADVANCE, 1, i).standard_normal((n_s, 3)) for i in range(9)])
@@ -368,10 +360,10 @@ class TestParallelSlots:
         monkeypatch.setattr(CouplingFlow, "_inverse", failing_in_workers)
         before = threading.active_count()
         with pytest.raises(FloatingPointError) as info:
-            advance_stage(ds, flow, p, 5, Rng(43))
+            advance_stage(ds, flow, p, 64, Rng(43))  # 9 blocks of one record: the pool runs some
         assert info.value is err
         assert threading.active_count() == before
-        cfg = TrainConfig(max_epochs=2, patience=2, n_s_train=4)
+        cfg = TrainConfig(max_epochs=2, patience=2, n_s_train=64)  # 12 blocks of one record
         with pytest.raises(PipelineError, match="fiducial advancement diverged after stage 0") as info:
             train_pipeline(p, 12, 2, FlowConfig(n_blocks=2, hidden=(8,)), cfg, Rng(44))
         assert info.value.__cause__ is err
@@ -412,14 +404,22 @@ def record_threads(monkeypatch, owner, attr):
     return threads
 
 
+def patch_blocks(monkeypatch, constants):
+    """Set `ADVANCE_BLOCKS` and `ADVANCE_ROWS` to `constants`, or leave the module's if it is None."""
+    if constants is not None:
+        monkeypatch.setattr(sf_flow, "ADVANCE_BLOCKS", constants[0])
+        monkeypatch.setattr(sf_flow, "ADVANCE_ROWS", constants[1])
+
+
 class TestParallelDraws:
-    """`advance_stage` draws its records' latents in `draw_in_runs`' runs on every usable CPU."""
+    """`advance_stage` runs contiguous blocks of records on every usable CPU: each block draws its records'
+    latents, makes one inverse pass over all their slots and averages them."""
 
     N, X_DIM = 400, 3
 
-    def _setup(self):
+    def _setup(self, n):
         p = tiny_problem(seed=50, x_dim=self.X_DIM, y_dim=5)
-        ds = build_stage0(p, self.N, Rng(51))
+        ds = build_stage0(p, n, Rng(51))
         rng = Rng(52)
         flow = CouplingFlow.create(self.X_DIM, self.X_DIM, rng, FlowConfig(n_blocks=3, hidden=(8,)))
         flow.params += 0.4 * rng.standard_normal(flow.params.size)
@@ -438,32 +438,69 @@ class TestParallelDraws:
         update /= n_s
         return ds.x_fid + update
 
-    # 400 records of 64 x 3 draws: 2 runs at the module's DRAW_RUN, 80 of 5 records, 400 of one
-    @pytest.mark.parametrize("run", [None, 960, 1], ids=["DRAW_RUN", "5_records", "1_record"])
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_equals_serial_per_record_reference(self, monkeypatch, cpus, run):
-        p, ds, flow = self._setup()
+    @pytest.mark.parametrize("n, n_s, constants, blocks", [
+        (1, 1, None, [(0, 1)]),
+        (9, 64, None, [(i, i + 1) for i in range(9)]),
+        (9, 3, None, [(0, 9)]),  # at least 64 rows a block
+        (400, 64, None, [(i, i + 10) for i in range(0, 400, 10)]),  # at most 40 blocks
+        (65, 1, None, [(0, 65)]),  # a last block of one row joins the one before
+        (66, 1, None, [(0, 64), (64, 66)]),
+        (9, 1, (1000, 2), [(0, 2), (2, 4), (4, 6), (6, 9)]),
+        (9, 3, (1000, 2), [(i, i + 1) for i in range(9)]),
+    ])
+    def test_block_rule(self, monkeypatch, n, n_s, constants, blocks):
+        patch_blocks(monkeypatch, constants)
+        assert [(r.start, r.stop) for r in record_blocks(n, n_s)] == blocks
+
+    def check_against_serial_reference(self, monkeypatch, cpus, n, n_s, constants):
+        """`advance_stage` equals the serial reference; streams are built on this thread only, and the draws
+        and passes run on as many threads as there are blocks, up to `cpus`, in passes of more than one row."""
+        p, ds, flow = self._setup(n)
         set_cpus(monkeypatch, cpus)
-        if run is not None:
-            monkeypatch.setattr(sf_flow, "DRAW_RUN", run)
-        per_run = sf_flow.DRAW_RUN // (64 * self.X_DIM) or 1
-        n_runs = -(-self.N // per_run)
+        patch_blocks(monkeypatch, constants)
+        n_blocks = len(record_blocks(n, n_s))
         main = threading.get_ident()
         children = record_threads(monkeypatch, Rng, "child")
         drawing = record_threads(monkeypatch, Rng, "standard_normal")
-        got = advance_stage(ds, flow, p, 64, Rng(53))
-        monkeypatch.undo()
-        assert np.array_equal(got.x_fid, self.serial_reference(ds, flow, 64, Rng(53)))
-        assert children == {main}
-        w = min(cpus, n_runs)
-        assert (drawing == {main}) if w == 1 else (main in drawing and 2 <= len(drawing) <= w)
+        passes, body = [], CouplingFlow._inverse
 
-    @pytest.mark.parametrize("run, threads", [(400 * 3, False), (400 * 3 - 1, True)])
-    def test_a_draw_of_one_run_starts_no_thread(self, monkeypatch, run, threads):
-        # one slot, so the latents are the only work that could run beside the calling thread
-        p, ds, flow = self._setup()
+        def recording(flow, z, terms):
+            passes.append((threading.get_ident(), len(z)))
+            return body(flow, z, terms)
+
+        monkeypatch.setattr(CouplingFlow, "_inverse", recording)
+        got = advance_stage(ds, flow, p, n_s, Rng(53))
+        monkeypatch.undo()
+        assert np.array_equal(got.x_fid, self.serial_reference(ds, flow, n_s, Rng(53)))
+        assert children == {main}
+        inverting = {ident for ident, _ in passes}
+        w = min(cpus, n_blocks)
+        for threads in (drawing, inverting):
+            assert (threads == {main}) if w == 1 else (main in threads and 2 <= len(threads) <= w)
+        rows = [r for _, r in passes]
+        assert len(rows) == n_blocks and sum(rows) == n * n_s and (n * n_s == 1 or min(rows) > 1)
+
+    # 400 records of 64 slots: 40 blocks of 10 records at the module's constants, 80 of 5, 400 of one
+    @pytest.mark.parametrize("constants", [None, (80, 64), (400, 64)], ids=["constants", "5_records", "1_record"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_equals_serial_per_record_reference(self, monkeypatch, cpus, constants):
+        self.check_against_serial_reference(monkeypatch, cpus, self.N, 64, constants)
+
+    # the module's constants, 1-record blocks (pairs for one slot) and 2 blocks
+    @pytest.mark.parametrize("constants", [None, (1000, 2), (2, 2)], ids=["constants", "1_record", "2_blocks"])
+    @pytest.mark.parametrize("n_s", [1, 3, 64])
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_few_records_equal_serial_per_record_reference(self, monkeypatch, cpus, n, n_s, constants):
+        self.check_against_serial_reference(monkeypatch, cpus, n, n_s, constants)
+
+    @pytest.mark.parametrize("rows, threads", [(400, False), (399, False), (398, True)],
+                             ids=["one_block", "folded_last_row", "two_blocks"])
+    def test_one_block_starts_no_thread(self, monkeypatch, rows, threads):
+        # one slot, so 400 records are one block of at least `ADVANCE_ROWS` rows, or two of 398 and 2
+        p, ds, flow = self._setup(self.N)
         set_cpus(monkeypatch, 4)
-        monkeypatch.setattr(sf_flow, "DRAW_RUN", run)
+        monkeypatch.setattr(sf_flow, "ADVANCE_ROWS", rows)
         started, start = [], threading.Thread.start
 
         def recording_start(thread):
