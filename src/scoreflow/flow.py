@@ -63,23 +63,13 @@ LR_PATIENCE = 10
 LR_FACTOR = 0.5
 MIN_LR = 1e-5
 
-# `inverse` passes over more rows run in row blocks of this many, on every usable
-# CPU. A constant, not a setting: BLAS may round a row by an ulp differently for
-# another block size, so a fixed size keeps outputs the same whatever the CPU count.
+# `inverse` and `summary.advance_stage` cut their work by `blocks`, on every usable CPU: at most
+# MAX_BLOCKS blocks, so that a pass starts at most MAX_BLOCKS - 1 threads, and blocks of at least
+# INVERSE_ROWS rows for `inverse` (`summary.ADVANCE_ROWS` for `advance_stage`) where there are that many.
+# Constants, not settings, and never the CPU count: BLAS may round a row by an ulp differently for
+# another block size, so fixed sizes keep outputs the same whatever the CPU count.
 INVERSE_ROWS = 256
-
-# `advance_stage` advances its n records in contiguous blocks of
-# m = max(ceil(n / ADVANCE_BLOCKS), ceil(ADVANCE_ROWS / n_s)) records, on every usable CPU: at most
-# ADVANCE_BLOCKS blocks, each one inverse pass over at least ADVANCE_ROWS rows where there are that
-# many. Constants, not settings, and never the CPU count: each record's rows give the same bits in any
-# block, but no pass may have one row (see `record_blocks`).
-ADVANCE_BLOCKS = 40
-ADVANCE_ROWS = 64
-
-# `create` makes its Philox draws in contiguous runs of at most this many, on every usable CPU. A
-# constant, not a setting: every block draws from its own stream, so no value of it changes a bit,
-# and a draw of no more than one run starts no thread.
-DRAW_RUN = 1 << 16
+MAX_BLOCKS = 40
 
 # `Adam.step` works through its vectors in chunks of this many elements, so that the step's passes
 # over one chunk stay in cache. A vector of up to 2^17 elements (the linear problem's 130,656) is one chunk.
@@ -214,31 +204,15 @@ def param_shapes(x_dim: int, cond_dim: int, cfg: FlowConfig) -> list[tuple[int, 
     return [s for c in transformed_halves(x_dim, cfg.n_blocks) for s in net_shapes(x_dim, cond_dim, cfg.hidden, c)]
 
 
-def record_blocks(n: int, n_s: int) -> list[range]:
-    """`advance_stage`'s contiguous blocks of its n records, each with n_s rows per record (see
-    `ADVANCE_BLOCKS`). A last block of one row joins the one before it, as BLAS rounds 1-row products
-    another way; with `ADVANCE_ROWS` >= 2 no other block has one row."""
-    m = max(-(-n // ADVANCE_BLOCKS), -(-ADVANCE_ROWS // n_s))
+def blocks(n: int, k: int, rows: int) -> list[range]:
+    """Contiguous blocks of n items of k rows each: m = max(ceil(n / `MAX_BLOCKS`), ceil(rows / k)) items
+    a block. A last block of one row joins the one before it, as BLAS rounds 1-row products another way;
+    with `rows` >= 2 no other block has one row."""
+    m = max(-(-n // MAX_BLOCKS), -(-rows // k))
     starts = list(range(0, n, m))
-    if n_s == 1 and len(starts) > 1 and starts[-1] == n - 1:
+    if k == 1 and len(starts) > 1 and starts[-1] == n - 1:
         starts.pop()
     return [range(a, b) for a, b in zip(starts, starts[1:] + [n])]
-
-
-def draw_in_runs(fill, counts) -> None:
-    """Call fill(i) for every i in range(len(counts)), where item i makes counts[i] draws from a
-    stream of its own, in contiguous runs of at most `DRAW_RUN` draws (an item over that runs alone),
-    the runs through `ordered_map`. `fill` draws only from streams built before this call, so that
-    every `Rng.child` call stays on the calling thread."""
-    runs, start, total = [], 0, 0
-    for i, count in enumerate(counts):
-        if i > start and total + count > DRAW_RUN:
-            runs.append(range(start, i))
-            start, total = i, 0
-        total += count
-    runs.append(range(start, len(counts)))
-    for _ in ordered_map(lambda run: [fill(i) for i in run], runs):
-        pass
 
 
 class CouplingFlow:
@@ -268,18 +242,14 @@ class CouplingFlow:
     @classmethod
     def create(cls, x_dim, cond_dim, rng: Rng, cfg: FlowConfig):
         """A flow to train: block k draws its hidden weights from N(0, 1/fan_in)
-        with `rng.child(k)`. Biases and output layers stay zero, so the flow
-        starts as the identity coupling (unit scale, zero shift). The blocks draw
-        in `draw_in_runs`' runs, on every usable CPU; the weights do not depend
-        on how many there are."""
+        with `rng.child(k)`, on the calling thread. Biases and output layers
+        stay zero, so the flow starts as the identity coupling (unit scale,
+        zero shift)."""
         flow = cls(x_dim, cond_dim, cfg)
-        streams = [rng.child(k) for k in range(len(flow.nets))]
-
-        def fill(k):
-            for W in flow.nets[k].weights[:-1]:
-                W[...] = streams[k].standard_normal(W.shape) / np.sqrt(len(W))
-
-        draw_in_runs(fill, [sum(W.size for W in net.weights[:-1]) for net in flow.nets])
+        for k, net in enumerate(flow.nets):
+            stream = rng.child(k)
+            for W in net.weights[:-1]:
+                W[...] = stream.standard_normal(W.shape) / np.sqrt(len(W))
         return flow
 
     def views(self, vec: np.ndarray) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
@@ -381,39 +351,35 @@ class CouplingFlow:
 
     def inverse(self, z, terms):
         """Map latent z back to x given the terms `condition` computed, so that
-        several passes on the same conditions compute them once. The rows of z
-        cycle through the rows of `terms`, as in `ConditioningNet.forward`: one
-        row per row of z, a single row shared by all of them, or any number
-        that divides len(z). x comes back in float64. Returns (x, log_det) with
-        the forward's log_det negated at the corresponding point. More than
-        `INVERSE_ROWS` + 1 rows run in row blocks of `INVERSE_ROWS` through
-        `ordered_map`, on every usable CPU."""
+        several passes on the same conditions compute them once: a single row
+        shared by all rows of z, or one row per row of z. x comes back in
+        float64. Returns (x, log_det) with the forward's log_det negated at the
+        corresponding point. The rows run in `blocks` of at least `INVERSE_ROWS`
+        through `ordered_map`, on every usable CPU."""
         z = self._rows(z, self.x_dim, "x")
-        cycle = len(terms[0]) if len(terms) == len(self.nets) else 0
-        if not cycle or len(z) % cycle:
-            raise ShapeError(f"terms must be `condition`'s for a number of rows that divides {len(z)}")
+        if len(terms) != len(self.nets) or len(terms[0]) not in (1, len(z)):
+            raise ShapeError(f"terms must be `condition`'s for one row or {len(z)} rows")
         z = z.astype(self.params.dtype, copy=False)
-        # a 1-row remainder joins the last block, as BLAS rounds 1-row products another way
-        starts = range(0, len(z) - 1, INVERSE_ROWS)
-        if len(starts) <= 1:
+        parts = [slice(r.start, r.stop) for r in blocks(len(z), 1, INVERSE_ROWS)]
+        if len(parts) == 1:
             return self._inverse(z, terms)
+        shared = len(terms[0]) == 1
 
-        def block(start):
-            rows = slice(start, len(z) if start == starts[-1] else start + INVERSE_ROWS)
-            # a block's rows continue the cycle from its first row's place in it
-            cycled = np.arange(rows.start, rows.stop) % cycle if 1 < cycle < len(z) else rows
-            return rows, self._inverse(z[rows], terms if cycle == 1 else [t[cycled] for t in terms])
+        def block(rows):
+            return self._inverse(z[rows], terms if shared else [t[rows] for t in terms])
 
         x, log_det = np.empty(z.shape), np.empty(len(z))
-        for rows, (x_rows, log_det_rows) in ordered_map(block, starts):
+        for rows, (x_rows, log_det_rows) in zip(parts, ordered_map(block, parts)):
             x[rows], log_det[rows] = x_rows, log_det_rows
         return x, log_det
 
     def _inverse(self, z, terms):
-        """`inverse` on checked arguments of the vector's dtype in one pass; `inverse`
-        and `advance_stage` (on cycled terms) call it from worker threads. Each
-        coupling block gives its transformed half one new array and updates it in
-        place; both halves are then scaled into one float64 output array."""
+        """`inverse` on checked arguments of the vector's dtype in one pass, the
+        rows of z cycling through the rows of `terms` as in
+        `ConditioningNet.forward`; `inverse` and `advance_stage` call it from
+        worker threads. Each coupling block gives its transformed half one new
+        array and updates it in place; both halves are then scaled into one
+        float64 output array."""
         halves = self._split(z)
         log_det = np.full(len(z), np.sum(np.log(self.x_scale)))
         for i, net, cterm in zip(reversed(self.changed), reversed(self.nets), reversed(terms)):

@@ -49,9 +49,8 @@ class Rng:
 
     Every test observation, and every sweep size, draws from the same keys.
     Each stream is a generator of its own, so streams built on one thread
-    may draw on different threads (as `CouplingFlow.create` and
-    `summary.advance_stage` have them do);
-    one stream is drawn from by one thread at a time.
+    may draw on different threads (as `summary.advance_stage` has them
+    do); one stream is drawn from by one thread at a time.
     """
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
@@ -226,10 +225,10 @@ def ordered_map(fn, items):
     `concurrent.futures` is not imported. The pool lives only inside the
     call, and an exception raised by `fn` on any thread reaches the caller
     as the same object once the pool's threads are joined. `fn` must not
-    call `ordered_map` itself, so that pools never nest. Its callers are
-    `flow.draw_in_runs` (the Philox draws of `CouplingFlow.create`),
-    `CouplingFlow.inverse` (row blocks) and `summary.advance_stage`
-    (record blocks, each drawn, inverted and averaged on one thread).
+    call `ordered_map` itself, so that pools never nest. Its two callers
+    cut their work by `flow.blocks`: `CouplingFlow.inverse` (row blocks)
+    and `summary.advance_stage` (record blocks, each drawn, inverted and
+    averaged on one thread).
     """
     w = min(usable_cpus(), len(items))
     if w <= 1:

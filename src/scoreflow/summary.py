@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import CouplingFlow, TrainConfig, record_blocks
+from .flow import CouplingFlow, TrainConfig, blocks
 from .numerics import ByteReader, Rng, ordered_map
 from .problems import InverseProblem
 
@@ -26,6 +26,11 @@ DATASET_VERSION = 2
 # spawn-key namespaces for reproducible per-record streams
 _KEY_RECORD = 0
 _KEY_ADVANCE = 1
+
+# `advance_stage` runs its records in `flow.blocks` of at least this many rows where there are that many.
+# Fewer than `flow.INVERSE_ROWS`: every running block holds its records' latents and pass buffers, so
+# smaller blocks keep the peak memory of a few records of many slots down.
+ADVANCE_ROWS = 64
 
 
 class DatasetError(ValueError):
@@ -93,7 +98,7 @@ def advance_stage(
     x_{i+1} = x_i + empirical mean of n_s conditional flow samples given
     the stored score; scores are then recomputed at the new fiducials. Ground
     truth and observations are carried over untouched. The records run in
-    `record_blocks`' blocks on every CPU the process may use, and each block
+    `flow.blocks` on every CPU the process may use, and each block
     draws its records' latents, makes one inverse pass over all their slots
     in the flow's dtype and averages each record's slots in slot order; the
     result does not depend on how many CPUs there are.
@@ -122,7 +127,7 @@ def advance_stage(
             mean += x[k * m : (k + 1) * m]
         mean /= n_s
 
-    for _ in ordered_map(advance, record_blocks(n, n_s)):
+    for _ in ordered_map(advance, blocks(n, n_s, ADVANCE_ROWS)):
         pass
     bad = np.flatnonzero(~np.all(np.isfinite(update), axis=1))
     if bad.size:

@@ -12,10 +12,10 @@ import scoreflow
 import scoreflow.flow as sf_flow
 from scoreflow.flow import (
     ADAM_CHUNK,
-    DRAW_RUN,
     INVERSE_ROWS,
     LR_FACTOR,
     LR_PATIENCE,
+    MAX_BLOCKS,
     MIN_LR,
     TRAIN_DTYPE,
     Adam,
@@ -23,7 +23,7 @@ from scoreflow.flow import (
     CouplingFlow,
     FlowConfig,
     TrainConfig,
-    draw_in_runs,
+    blocks,
     load_checkpoint,
     save_checkpoint,
     train_flow,
@@ -305,6 +305,8 @@ class TestMatchesMaskReference:
         with pytest.raises(ShapeError):
             flow.inverse(np.zeros((5, 3)), flow.condition(np.zeros((2, 3))))  # 5 rows cannot cycle through 2
         with pytest.raises(ShapeError):
+            flow.inverse(np.zeros((4, 3)), flow.condition(np.zeros((2, 3))))  # neither one row nor one per row
+        with pytest.raises(ShapeError):
             flow.inverse(np.zeros((3, 3)), np.zeros((3, 3)))  # conditions, not their terms
         with pytest.raises(ShapeError):
             flow.condition(np.zeros((2, 4)))
@@ -329,7 +331,7 @@ class TestCycledTerms:
         assert np.array_equal(got, ref)
         assert all(np.array_equal(g, r) for g, r in zip(got_cache, ref_cache))
 
-    # one pass, row blocks whose starts fall inside a cycle, and per-row terms in row blocks
+    # one pass of the body on cycled terms, and per-row terms in row blocks
     @pytest.mark.parametrize("n, cycle", [(12, 4), (1000, 8), (999, 3), (600, 600)])
     def test_inverse_equals_repeated_terms(self, monkeypatch, n, cycle):
         flow = small_flow(x_dim=5, cond_dim=4, n_blocks=3, hidden=(16,), seed=97)
@@ -338,8 +340,8 @@ class TestCycledTerms:
         terms = flow.condition(rng.standard_normal((cycle, 4)))
         repeated = [np.tile(t, (n // cycle, 1)) for t in terms]
         set_cpus(monkeypatch, 2)
-        got = flow.inverse(z, terms)
-        for ref in (flow.inverse(z, repeated), flow._inverse(z, repeated), flow._inverse(z, terms)):
+        got = flow._inverse(z, terms) if cycle < n else flow.inverse(z, terms)
+        for ref in (flow.inverse(z, repeated), flow._inverse(z, repeated)):
             assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
@@ -354,7 +356,7 @@ class TestBlockedInverse:
         return flow, rng
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_row"])
-    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000, 2000])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000, 2000, 10241])
     @pytest.mark.parametrize("x_dim", [16, 256])
     def test_bitwise_equal_to_one_pass(self, x_dim, n, shared):
         flow, rng = self._flow(x_dim)
@@ -416,52 +418,30 @@ class TestBlockedInverse:
         assert threading.active_count() == before
 
 
-def record_threads(monkeypatch, owner, attr):
-    """Replace `owner.attr` with a wrapper that adds the ident of each calling thread to the returned set."""
-    threads, body = set(), getattr(owner, attr)
-
-    def recording(*args, **kwargs):
-        threads.add(threading.get_ident())
-        return body(*args, **kwargs)
-
-    monkeypatch.setattr(owner, attr, recording)
-    return threads
+def fixed_rows(n):
+    """Blocks of `INVERSE_ROWS` rows, a 1-row remainder joining the last one."""
+    starts = list(range(0, n - 1, INVERSE_ROWS)) or [0]
+    return [(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-class TestDrawInRuns:
-    """`draw_in_runs` groups contiguous items into runs of at most `DRAW_RUN` draws."""
+class TestBlockRule:
+    """`blocks` cuts `inverse`'s rows and `advance_stage`'s records by one rule."""
 
-    def runs_of(self, monkeypatch, counts):
-        runs, real = [], sf_flow.ordered_map
+    @pytest.mark.parametrize("n", [1, 2, 256, 257, 258, 513, 2000, 10240])
+    def test_inverse_rows_are_fixed_blocks(self, n):
+        assert [(r.start, r.stop) for r in blocks(n, 1, INVERSE_ROWS)] == fixed_rows(n)
 
-        def recording(fn, items):
-            runs.extend(items)
-            return real(fn, items)
-
-        monkeypatch.setattr(sf_flow, "ordered_map", recording)
-        filled = []
-        draw_in_runs(filled.append, counts)
-        assert sorted(filled) == list(range(len(counts)))  # every item once
-        return [list(run) for run in runs]
-
-    @pytest.mark.parametrize("counts, runs", [
-        ([], [[]]),
-        ([DRAW_RUN], [[0]]),
-        ([DRAW_RUN + 1], [[0]]),
-        ([DRAW_RUN // 2, DRAW_RUN // 2], [[0, 1]]),
-        ([DRAW_RUN // 2, DRAW_RUN // 2 + 1], [[0], [1]]),
-        ([1, DRAW_RUN, 1], [[0], [1], [2]]),
-        ([2 * DRAW_RUN, 1, 1], [[0], [1, 2]]),
-        ([DRAW_RUN // 4] * 10, [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]),
-    ])
-    def test_runs(self, monkeypatch, counts, runs):
-        assert self.runs_of(monkeypatch, counts) == runs
+    @pytest.mark.parametrize("n", [10241, 20000])
+    def test_many_rows_make_at_most_max_blocks(self, n):
+        parts = blocks(n, 1, INVERSE_ROWS)
+        assert len(parts) <= MAX_BLOCKS and min(len(r) for r in parts) > 1
+        assert [r.start for r in parts[1:]] == [r.stop for r in parts[:-1]]
+        assert parts[0].start == 0 and parts[-1].stop == n
 
 
 class TestParallelCreate:
-    """`create` draws its blocks' weights in `draw_in_runs`' runs on every usable CPU."""
+    """`create` draws block k's weights from `rng.child(k)` on the calling thread, whatever the CPU count."""
 
-    # 9 blocks of 10240 draws: runs of 6 and 3 blocks at the module's DRAW_RUN
     X_DIM, CFG = 64, FlowConfig(n_blocks=9, hidden=(64, 64))
 
     @staticmethod
@@ -474,30 +454,23 @@ class TestParallelCreate:
                 W[...] = net_rng.standard_normal(W.shape) / np.sqrt(len(W))
         return flow.params
 
-    @pytest.mark.parametrize("run", [None, 25000, 1], ids=["DRAW_RUN", "2_blocks", "1_block"])
+    # flows of 1, 2 and 9 blocks of 10240 draws; the 9-block flow's 92160 draws
+    # are more than one run of the 61440 draws that create once gave each thread
+    @pytest.mark.parametrize("n_blocks", [9, 2, 1], ids=["DRAW_RUN", "2_blocks", "1_block"])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_equals_serial_per_block_reference(self, monkeypatch, cpus, run):
+    def test_equals_serial_per_block_reference(self, monkeypatch, cpus, n_blocks):
+        cfg = FlowConfig(n_blocks=n_blocks, hidden=self.CFG.hidden)
         set_cpus(monkeypatch, cpus)
-        if run is not None:
-            monkeypatch.setattr(sf_flow, "DRAW_RUN", run)
-        per_run = sf_flow.DRAW_RUN // 10240 or 1
-        n_runs = -(-self.CFG.n_blocks // per_run)
-        main = threading.get_ident()
-        children = record_threads(monkeypatch, Rng, "child")
-        drawing = record_threads(monkeypatch, Rng, "standard_normal")
-        flow = CouplingFlow.create(self.X_DIM, self.X_DIM, Rng(5), self.CFG)
+        flow = CouplingFlow.create(self.X_DIM, self.X_DIM, Rng(5), cfg)
         monkeypatch.undo()
-        assert np.array_equal(flow.params, self.serial_reference(self.X_DIM, self.CFG, Rng(5)))
-        assert children == {main}
-        w = min(cpus, n_runs)
-        assert (drawing == {main}) if w == 1 else (main in drawing and 2 <= len(drawing) <= w)
+        assert np.array_equal(flow.params, self.serial_reference(self.X_DIM, cfg, Rng(5)))
 
-    def test_a_draw_of_one_run_starts_no_thread(self, monkeypatch):
-        cfg = FlowConfig(n_blocks=6, hidden=(64, 64))  # 6 blocks of 10240 draws: 61440 <= DRAW_RUN
+    def test_default_flow_starts_no_thread(self, monkeypatch):
+        cfg = FlowConfig()
         set_cpus(monkeypatch, 4)
 
         def no_thread(thread):
-            raise AssertionError("create started a thread for one run of draws")
+            raise AssertionError("create started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         flow = CouplingFlow.create(self.X_DIM, self.X_DIM, Rng(5), cfg)

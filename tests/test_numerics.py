@@ -46,6 +46,36 @@ def test_byte_reader_is_the_one_binary_reader():
     assert all((path, cls) == ("numerics.py", "ByteReader") for path, cls, _ in reads), reads
 
 
+def pool_uses():
+    """(file, enclosing function, what) of every call of `ordered_map` and every import of `concurrent`."""
+    found = []
+
+    def visit(node, path, fn):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ordered_map":
+            found.append((path.name, fn, "ordered_map"))
+        if isinstance(node, ast.Import):
+            found.extend((path.name, fn, a.name) for a in node.names if a.name.split(".")[0] == "concurrent")
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "concurrent":
+            found.append((path.name, fn, node.module))
+        for child in ast.iter_child_nodes(node):
+            named = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            visit(child, path, (f"{fn}.{node.name}" if fn else node.name) if named else fn)
+
+    for path in sorted(Path(scoreflow.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    return found
+
+
+def test_ordered_map_has_two_callers_and_numerics_the_one_pool_import():
+    # a third caller that cut its work its own way would grow back the parallel machinery `flow.blocks` replaced
+    uses = pool_uses()
+    assert sorted((path, fn) for path, fn, what in uses if what == "ordered_map") == [
+        ("flow.py", "CouplingFlow.inverse"),
+        ("summary.py", "advance_stage"),
+    ]
+    assert {path for path, _, what in uses if what != "ordered_map"} == {"numerics.py"}, uses
+
+
 def set_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 

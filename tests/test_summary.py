@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import scoreflow.flow as sf_flow
-from scoreflow.flow import TRAIN_DTYPE, CouplingFlow, FlowConfig, TrainConfig, record_blocks, train_flow
+import scoreflow.summary as sf_summary
+from scoreflow.flow import TRAIN_DTYPE, CouplingFlow, FlowConfig, TrainConfig, blocks, train_flow
 from scoreflow.numerics import ByteReader, Rng, SpdMatrix
 from scoreflow.pipeline import PipelineError, train_pipeline
 from scoreflow.problems import LinearGaussianProblem
@@ -320,7 +321,7 @@ class TestParallelSlots:
         monkeypatch.setattr(CouplingFlow, "_inverse", recording)
         got = advance_stage(ds, flow, p, n_s, Rng(43))
         monkeypatch.undo()
-        w = min(cpus, len(record_blocks(9, n_s)))  # 1 and 5 slots make one block of 9 records, 64 slots 9
+        w = min(cpus, len(blocks(9, n_s, sf_summary.ADVANCE_ROWS)))  # 1 and 5 slots make one block of 9 records, 64 slots 9
         assert (len(threads) == 1) if w == 1 else (2 <= len(threads) <= w)
         # latents and terms as `advance_stage` builds them, in the flow's dtype
         z = np.stack([Rng(43).child(_KEY_ADVANCE, 1, i).standard_normal((n_s, 3)) for i in range(9)])
@@ -405,10 +406,10 @@ def record_threads(monkeypatch, owner, attr):
 
 
 def patch_blocks(monkeypatch, constants):
-    """Set `ADVANCE_BLOCKS` and `ADVANCE_ROWS` to `constants`, or leave the module's if it is None."""
+    """Set `flow.MAX_BLOCKS` and `summary.ADVANCE_ROWS` to `constants`, or leave the modules' if it is None."""
     if constants is not None:
-        monkeypatch.setattr(sf_flow, "ADVANCE_BLOCKS", constants[0])
-        monkeypatch.setattr(sf_flow, "ADVANCE_ROWS", constants[1])
+        monkeypatch.setattr(sf_flow, "MAX_BLOCKS", constants[0])
+        monkeypatch.setattr(sf_summary, "ADVANCE_ROWS", constants[1])
 
 
 class TestParallelDraws:
@@ -450,7 +451,7 @@ class TestParallelDraws:
     ])
     def test_block_rule(self, monkeypatch, n, n_s, constants, blocks):
         patch_blocks(monkeypatch, constants)
-        assert [(r.start, r.stop) for r in record_blocks(n, n_s)] == blocks
+        assert [(r.start, r.stop) for r in sf_flow.blocks(n, n_s, sf_summary.ADVANCE_ROWS)] == blocks
 
     def check_against_serial_reference(self, monkeypatch, cpus, n, n_s, constants):
         """`advance_stage` equals the serial reference; streams are built on this thread only, and the draws
@@ -458,7 +459,7 @@ class TestParallelDraws:
         p, ds, flow = self._setup(n)
         set_cpus(monkeypatch, cpus)
         patch_blocks(monkeypatch, constants)
-        n_blocks = len(record_blocks(n, n_s))
+        n_blocks = len(blocks(n, n_s, sf_summary.ADVANCE_ROWS))
         main = threading.get_ident()
         children = record_threads(monkeypatch, Rng, "child")
         drawing = record_threads(monkeypatch, Rng, "standard_normal")
@@ -500,7 +501,7 @@ class TestParallelDraws:
         # one slot, so 400 records are one block of at least `ADVANCE_ROWS` rows, or two of 398 and 2
         p, ds, flow = self._setup(self.N)
         set_cpus(monkeypatch, 4)
-        monkeypatch.setattr(sf_flow, "ADVANCE_ROWS", rows)
+        monkeypatch.setattr(sf_summary, "ADVANCE_ROWS", rows)
         started, start = [], threading.Thread.start
 
         def recording_start(thread):
