@@ -14,8 +14,8 @@ The MLP's first weight matrix has an x part and a condition part. The
 condition's term cn @ W_c + b is computed once per (block, condition) by
 `condition` and added to the x part's product on every pass, the pass's
 rows cycling through its rows: `sample` shares one row among all its
-draws, and `advance_stage` cycles each slot of a block of records through
-those records' terms.
+draws, and `summary.mean_updates` cycles each slot of a block of records
+through those records' terms.
 
 Precision: a flow computes in its parameter vector's dtype, in every
 pass. A flow that `create` or `CouplingFlow(...)` builds holds a float64
@@ -24,7 +24,7 @@ it in place, so a trained flow, its checkpoint and a loaded flow hold
 float32 weights and sample in float32, and a float64 flow samples in
 float64. Inputs, latents and normalization are float64; inputs are
 rounded to the vector's dtype after normalizing, and latents as they
-enter `inverse`. Each pass scales by `x_scale`, adds `x_mean` and
+enter a pass. Each pass scales by `x_scale`, adds `x_mean` and
 returns in float64.
 
 Training is maximum likelihood on (x, cond) pairs: the loss is the batch
@@ -63,9 +63,9 @@ LR_PATIENCE = 10
 LR_FACTOR = 0.5
 MIN_LR = 1e-5
 
-# `inverse` and `summary.advance_stage` cut their work by `blocks`, on every usable CPU: at most
+# `inverse` and `summary.mean_updates` cut their work by `blocks`, on every usable CPU: at most
 # MAX_BLOCKS blocks, so that a pass starts at most MAX_BLOCKS - 1 threads, and blocks of at least
-# INVERSE_ROWS rows for `inverse` (`summary.ADVANCE_ROWS` for `advance_stage`) where there are that many.
+# INVERSE_ROWS rows for `inverse` (`summary.ADVANCE_ROWS` for `mean_updates`) where there are that many.
 # Constants, not settings, and never the CPU count: BLAS may round a row by an ulp differently for
 # another block size, so fixed sizes keep outputs the same whatever the CPU count.
 INVERSE_ROWS = 256
@@ -376,10 +376,10 @@ class CouplingFlow:
     def _inverse(self, z, terms):
         """`inverse` on checked arguments of the vector's dtype in one pass, the
         rows of z cycling through the rows of `terms` as in
-        `ConditioningNet.forward`; `inverse` and `advance_stage` call it from
-        worker threads. Each coupling block gives its transformed half one new
-        array and updates it in place; both halves are then scaled into one
-        float64 output array."""
+        `ConditioningNet.forward`; its only callers, `inverse` and
+        `summary.mean_updates`, call it from worker threads. Each coupling
+        block gives its transformed half one new array and updates it in
+        place; both halves are then scaled into one float64 output array."""
         halves = self._split(z)
         log_det = np.full(len(z), np.sum(np.log(self.x_scale)))
         for i, net, cterm in zip(reversed(self.changed), reversed(self.nets), reversed(terms)):

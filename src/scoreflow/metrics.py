@@ -167,10 +167,7 @@ def evaluate_testset(
         for s in range(1, L + 2):
             mean_err, cov_err = float("nan"), float("nan")
             if oracle is not None or s == L + 1:
-                x_prev, ybar_prev = traj[s - 1]
-                deltas = pipeline.flows[s - 1].sample(ybar_prev, n_samples, obs_rng.child(2, s))
-                deltas += x_prev  # in place: the samples, without a second (n_samples, x_dim) array
-                ens = PosteriorEnsemble.from_samples(deltas)
+                ens = PosteriorEnsemble.draw(pipeline.flows[s - 1], traj[s - 1], n_samples, obs_rng.child(2, s))
                 if oracle is not None:
                     mean_err, cov_err = moment_errors(ens, oracle)
             if s <= L:

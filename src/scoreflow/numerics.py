@@ -49,8 +49,8 @@ class Rng:
 
     Every test observation, and every sweep size, draws from the same keys.
     Each stream is a generator of its own, so streams built on one thread
-    may draw on different threads (as `summary.advance_stage` has them
-    do); one stream is drawn from by one thread at a time.
+    may draw on different threads (as `summary.mean_updates` has them do);
+    one stream is drawn from by one thread at a time.
     """
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
@@ -227,7 +227,7 @@ def ordered_map(fn, items):
     as the same object once the pool's threads are joined. `fn` must not
     call `ordered_map` itself, so that pools never nest. Its two callers
     cut their work by `flow.blocks`: `CouplingFlow.inverse` (row blocks)
-    and `summary.advance_stage` (record blocks, each drawn, inverted and
+    and `summary.mean_updates` (record blocks, each drawn, inverted and
     averaged on one thread).
     """
     w = min(usable_cpus(), len(items))

@@ -26,7 +26,7 @@ from .flow import CheckpointError, CouplingFlow, FlowConfig, TrainConfig, best_e
 from .flow import train_flow
 from .numerics import Rng
 from .problems import InverseProblem
-from .summary import FiducialDataset, advance_stage, build_stage0
+from .summary import FiducialDataset, advance_stage, build_stage0, mean_updates
 
 BUNDLE_FORMAT_VERSION = 1
 
@@ -81,6 +81,13 @@ class PosteriorEnsemble:
         cov = centered.T @ centered / denom
         cov = 0.5 * (cov + cov.T)
         return cls(samples, mean, cov, np.sqrt(np.diag(cov)))
+
+    @classmethod
+    def draw(cls, flow: CouplingFlow, point, n: int, rng: Rng) -> "PosteriorEnsemble":
+        """n draws of `flow` given the score of the trajectory point `point` = (x, ybar), each offset by x."""
+        samples = flow.sample(point[1], n, rng)
+        samples += point[0]  # in place: the samples, without a second (n, x_dim) array
+        return cls.from_samples(samples)
 
 
 def train_pipeline(
@@ -141,13 +148,12 @@ def intermediate_trajectory(pipeline: TrainedPipeline, y, rng: Rng):
     """Fiducials and scores (x_i, ybar_i) for i = 0..L along the inference loop."""
     problem = pipeline.problem
     n_s = pipeline.train_config.n_s_infer  # draws averaged per fiducial update
-    L = pipeline.n_stages
     x = problem.default_fiducial()
     out = []
-    for i in range(L):
+    for i in range(pipeline.n_stages):
         ybar = problem.score(x, y)
         out.append((x, ybar))
-        x = x + pipeline.flows[i].sample(ybar, n_s, rng.child(_KEY_INFER_UPDATE, i)).mean(axis=0)
+        x = x + mean_updates(pipeline.flows[i], ybar[None], n_s, [rng.child(_KEY_INFER_UPDATE, i)])[0]
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"non-finite fiducial at inference iteration {i}")
     out.append((x, problem.score(x, y)))
@@ -155,17 +161,12 @@ def intermediate_trajectory(pipeline: TrainedPipeline, y, rng: Rng):
 
 
 def infer(pipeline: TrainedPipeline, y, n_samples: int, rng: Rng) -> PosteriorEnsemble:
-    """Full inference: L fiducial updates, then n_samples from the final flow.
-
-    The returned ensemble carries the trajectory of those updates.
-    """
+    """Full inference: L fiducial updates, then n_samples from the final flow, in an ensemble that
+    carries the trajectory of those updates."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     traj = intermediate_trajectory(pipeline, y, rng)
-    x_final, ybar_final = traj[-1]
-    deltas = pipeline.flows[-1].sample(ybar_final, n_samples, rng.child(_KEY_INFER_SAMPLE))
-    deltas += x_final  # in place: the samples, without a second (n_samples, x_dim) array
-    ens = PosteriorEnsemble.from_samples(deltas)
+    ens = PosteriorEnsemble.draw(pipeline.flows[-1], traj[-1], n_samples, rng.child(_KEY_INFER_SAMPLE))
     ens.trajectory = traj
     return ens
 

@@ -6,7 +6,9 @@ log-likelihood at the fiducial. The residual target (truth minus
 fiducial) and the validation split (the last `n_val` records) are derived
 from these. Stage 0 is built from prior/noise draws; later stages are
 produced by updating every fiducial with the trained flow's
-posterior-mean estimate and recomputing the scores.
+posterior-mean estimate and recomputing the scores. That estimate,
+`mean_updates`, is also the update of every inference step
+(`pipeline.intermediate_trajectory`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ DATASET_VERSION = 2
 _KEY_RECORD = 0
 _KEY_ADVANCE = 1
 
-# `advance_stage` runs its records in `flow.blocks` of at least this many rows where there are that many.
+# `mean_updates` runs its records in `flow.blocks` of at least this many rows where there are that many.
 # Fewer than `flow.INVERSE_ROWS`: every running block holds its records' latents and pass buffers, so
 # smaller blocks keep the peak memory of a few records of many slots down.
 ADVANCE_ROWS = 64
@@ -57,11 +59,11 @@ class FiducialDataset:
 
     def train_arrays(self):
         k = self.n_records - self.n_val
-        return self.dx[:k], self.ybar[:k]
+        return self.x_true[:k] - self.x_fid[:k], self.ybar[:k]
 
     def val_arrays(self):
         k = self.n_records - self.n_val
-        return self.dx[k:], self.ybar[k:]
+        return self.x_true[k:] - self.x_fid[k:], self.ybar[k:]
 
 
 def _scored(stage: int, problem: InverseProblem, x_true, y, x_fid, n_val: int) -> FiducialDataset:
@@ -90,29 +92,19 @@ def build_stage0(
     return _scored(0, problem, x_true, y, x_fid, int(np.floor(val_fraction * n_train)))
 
 
-def advance_stage(
-    ds: FiducialDataset, flow: CouplingFlow, problem: InverseProblem, n_s: int, rng: Rng
-) -> FiducialDataset:
-    """One fiducial update for every record using the stage's trained flow.
-
-    x_{i+1} = x_i + empirical mean of n_s conditional flow samples given
-    the stored score; scores are then recomputed at the new fiducials. Ground
-    truth and observations are carried over untouched. The records run in
-    `flow.blocks` on every CPU the process may use, and each block
-    draws its records' latents, makes one inverse pass over all their slots
-    in the flow's dtype and averages each record's slots in slot order; the
-    result does not depend on how many CPUs there are.
-    """
+def mean_updates(flow: CouplingFlow, ybar, n_s: int, streams) -> np.ndarray:
+    """(n, x_dim): per row i of `ybar`, the mean of n_s flow draws given that row, latents drawn from
+    `streams[i]`; the posterior-mean update of training's and inference's fiducial steps alike. The rows
+    run in `flow.blocks` on every usable CPU, a single row on the calling thread; each block draws its
+    rows' latents, makes one inverse pass over all their slots in the flow's dtype and sums each row's
+    slots in slot order, so the result does not depend on how many CPUs there are."""
     if n_s < 1:
         raise ValueError("n_s must be >= 1")
-    n, x_dim = ds.x_true.shape
-    next_stage = ds.stage + 1
-    # every stream is built here: workers only draw from them
-    streams = [rng.child(_KEY_ADVANCE, next_stage, i) for i in range(n)]
-    terms = flow.condition(ds.ybar)
-    update = np.zeros((n, x_dim))
+    terms = flow.condition(ybar)
+    n, x_dim = len(terms[0]), flow.x_dim
+    update = np.empty((n, x_dim))
 
-    def advance(records):
+    def block(records):
         # slot-major rows: row k * m + j is slot k of the block's record j, so the rows cycle through
         # the records' condition terms; the float64 draws are stored rounded to the flow's dtype
         rows, m = slice(records.start, records.stop), len(records)
@@ -122,13 +114,23 @@ def advance_stage(
         # workers call the flow's private pass body, never a public method that a caller may have
         # wrapped or that would start a pool itself
         x, _ = flow._inverse(z.reshape(n_s * m, x_dim), [t[rows] for t in terms])
-        mean = update[rows]  # each block fills its own rows, summing its slots in slot order
-        for k in range(n_s):
-            mean += x[k * m : (k + 1) * m]
+        mean = np.add.reduce(x.reshape(n_s, m, x_dim), axis=0, out=update[rows])  # each block its own rows
         mean /= n_s
 
-    for _ in ordered_map(advance, blocks(n, n_s, ADVANCE_ROWS)):
+    for _ in ordered_map(block, blocks(n, n_s, ADVANCE_ROWS)):
         pass
+    return update
+
+
+def advance_stage(
+    ds: FiducialDataset, flow: CouplingFlow, problem: InverseProblem, n_s: int, rng: Rng
+) -> FiducialDataset:
+    """The next stage: each record's fiducial moved by its `mean_updates` of n_s draws given the stored
+    score, from a stream of its own, and the scores recomputed there; truth and observations carry over."""
+    next_stage = ds.stage + 1
+    # every stream is built here: workers only draw from them
+    streams = [rng.child(_KEY_ADVANCE, next_stage, i) for i in range(ds.n_records)]
+    update = mean_updates(flow, ds.ybar, n_s, streams)
     bad = np.flatnonzero(~np.all(np.isfinite(update), axis=1))
     if bad.size:
         raise FloatingPointError(f"non-finite fiducial update for records {bad.tolist()}")

@@ -216,7 +216,11 @@ class TestInferAndEvaluate:
         cfg, bundle = self._trained(tmp_path)
         ypath = tmp_path / "y.txt"
         np.savetxt(ypath, np.arange(4, dtype=float))
-        monkeypatch.setattr(CouplingFlow, "sample", lambda flow, ybar, n, rng: np.full((n, 2), np.nan))
+
+        def nan_pass(flow, z, terms):  # every draw's pass body, so the first fiducial update is non-finite
+            return np.full((len(z), 2), np.nan), np.zeros(len(z))
+
+        monkeypatch.setattr(CouplingFlow, "_inverse", nan_pass)
         capsys.readouterr()
         rc = main(["infer", "--config", str(cfg), "--bundle", str(bundle), "--y", str(ypath),
                    "--out", str(tmp_path / "inf")])

@@ -47,12 +47,14 @@ def test_byte_reader_is_the_one_binary_reader():
 
 
 def pool_uses():
-    """(file, enclosing function, what) of every call of `ordered_map` and every import of `concurrent`."""
+    """(file, enclosing function, what) of every call of `ordered_map` or `_inverse` and every import of
+    `concurrent`."""
     found = []
 
     def visit(node, path, fn):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ordered_map":
-            found.append((path.name, fn, "ordered_map"))
+        called = isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None))
+        if called in ("ordered_map", "_inverse"):
+            found.append((path.name, fn, called))
         if isinstance(node, ast.Import):
             found.extend((path.name, fn, a.name) for a in node.names if a.name.split(".")[0] == "concurrent")
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "concurrent":
@@ -71,9 +73,13 @@ def test_ordered_map_has_two_callers_and_numerics_the_one_pool_import():
     uses = pool_uses()
     assert sorted((path, fn) for path, fn, what in uses if what == "ordered_map") == [
         ("flow.py", "CouplingFlow.inverse"),
-        ("summary.py", "advance_stage"),
+        ("summary.py", "mean_updates"),
     ]
-    assert {path for path, _, what in uses if what != "ordered_map"} == {"numerics.py"}, uses
+    # nor may the flow's private pass body, which skips `inverse`'s checks and the tracer, get a third caller
+    assert {(path, fn) for path, fn, what in uses if what == "_inverse" and path != "flow.py"} == {
+        ("summary.py", "mean_updates.block"),
+    }
+    assert {path for path, _, what in uses if what not in ("ordered_map", "_inverse")} == {"numerics.py"}, uses
 
 
 def set_cpus(monkeypatch, cpus):

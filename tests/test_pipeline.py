@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -22,7 +23,7 @@ from scoreflow.pipeline import (
     save_pipeline,
     train_pipeline,
 )
-from scoreflow.problems import LinearGaussianProblem
+from scoreflow.problems import LinearGaussianProblem, NonlinearToyProblem
 
 
 def tiny_problem(seed=1, x_dim=2, y_dim=4):
@@ -158,11 +159,12 @@ class TestTrainPipeline:
             train_pipeline(tiny_problem(), 4, -1, FAST_FLOW, FAST_TRAIN, Rng(7))
 
     def test_traced_entry_points_stay_on_the_calling_thread(self, monkeypatch):
-        # bench/tracer.py wraps these with recorders that one thread at a time may enter; only the Philox
-        # draws and the inverse pass bodies may run on the pool's threads
+        # bench/tracer.py wraps these with recorders that one thread at a time may enter; only the latent
+        # draws of `mean_updates` and the `_inverse` pass bodies may run on the pool's threads
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         p = tiny_problem(x_dim=64, y_dim=8)
-        # 9 blocks of 10240 weight draws and 40 records of 64 x 64 latents: more than one run of each
+        # advancing 40 records of 64 x 64 latents runs 40 one-record blocks on the pool, and `infer`'s 1000
+        # final draws run 4 inverse blocks; its trajectory update, one record, stays on this thread
         flow_cfg, train_cfg = FlowConfig(n_blocks=9, hidden=(64, 64)), TrainConfig(max_epochs=1, patience=1)
         seen = {attr: record_threads(monkeypatch, owner, attr)
                 for owner, attr in [(Rng, "child"), (Rng, "standard_normal"), (LinearGaussianProblem, "score"),
@@ -207,13 +209,17 @@ class TestInference:
         def no_draws(*args):
             raise AssertionError("flow sampled before y was checked")
 
-        monkeypatch.setattr(CouplingFlow, "sample", no_draws)
+        monkeypatch.setattr(CouplingFlow, "_inverse", no_draws)  # every draw's pass body
         with pytest.raises(ShapeError, match=rf"y must have shape \({p.y_dim},\), got \({p.y_dim + 1},\)"):
             intermediate_trajectory(pipe, np.zeros(p.y_dim + 1), Rng(12))
 
     def test_non_finite_fiducial(self, monkeypatch):
         p, pipe = self._pipe(L=2)
-        monkeypatch.setattr(CouplingFlow, "sample", lambda flow, ybar, n, rng: np.full((n, p.x_dim), np.nan))
+
+        def nan_pass(flow, z, terms):  # every draw's pass body
+            return np.full(z.shape, np.nan), np.zeros(len(z))
+
+        monkeypatch.setattr(CouplingFlow, "_inverse", nan_pass)
         with pytest.raises(FloatingPointError, match="non-finite fiducial at inference iteration 0"):
             intermediate_trajectory(pipe, np.zeros(p.y_dim), Rng(12))
 
@@ -256,6 +262,38 @@ class TestInference:
             infer(pipe, np.zeros(p.y_dim + 1), 10, Rng(19))
         with pytest.raises(ValueError):
             infer(pipe, np.zeros(p.y_dim), 0, Rng(19))
+
+
+# name: (problem, records, flow, training, seed) of a two-stage pipeline whose trajectory updates are checked
+TRAINED = {
+    "linear_gaussian": (lambda: LinearGaussianProblem.replication(x_dim=8, y_dim=16, seed=5), 120,
+                        FlowConfig(n_blocks=4, hidden=(32, 32)),
+                        TrainConfig(batch_size=32, max_epochs=3, patience=3, n_s_train=16), 11),
+    "nonlinear_toy": (NonlinearToyProblem, 80, FlowConfig(), TrainConfig(max_epochs=2, patience=2), 12),
+}
+
+
+class TestTrajectoryUpdates:
+    """Each inference update is `summary.mean_updates` on one record, which keeps every bit of the rule it
+    replaced: the mean of `CouplingFlow.sample`'s n_s draws from the update's stream."""
+
+    @pytest.fixture(scope="class", params=list(TRAINED))
+    def trained(self, request):
+        make, n_train, flow_cfg, train_cfg, seed = TRAINED[request.param]
+        pipe, datasets = train_pipeline(make(), n_train, 2, flow_cfg, train_cfg, Rng(seed))
+        return pipe, datasets[0].y[0]
+
+    @pytest.mark.parametrize("n_s", [1, 2, 256, 1024])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_updates_equal_mean_of_sampled_draws(self, monkeypatch, trained, cpus, n_s):
+        pipe, y = trained
+        pipe = dataclasses.replace(pipe, train_config=dataclasses.replace(pipe.train_config, n_s_infer=n_s))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        traj = intermediate_trajectory(pipe, y, Rng(30))
+        assert len(traj) == 3
+        for i, ((x, ybar), (x_next, _)) in enumerate(zip(traj, traj[1:])):
+            reference = x + pipe.flows[i].sample(ybar, n_s, Rng(30).child(3, i)).mean(axis=0)
+            assert np.array_equal(x_next, reference), f"update {i}"
 
 
 def bundled_problem():
